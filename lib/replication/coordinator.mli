@@ -7,6 +7,13 @@
       increment it, then two-phase-commit the new (timestamp, value) on
       every member of a write quorum (§3.2.2, §2.2).
 
+    Every operation, single-key or batched, is a {!Round}: the one
+    quorum-round engine this coordinator shares with {!Quorum_rpc}.  A
+    single key is a round over one key slot; a batch is the same round over
+    many.  The coordinator adds only what is its own: per-key locks, read
+    repair, tree-level pipelined reads, the per-key version bump and the
+    result callbacks.
+
     Failures are handled by per-phase timeouts: a timed-out attempt is
     aborted and the operation retried with freshly assembled quorums from
     the current failure-detector view, up to [max_retries], pausing with
@@ -49,8 +56,8 @@ type config = {
                            explicit [view] is supplied *)
   read_repair : bool;
       (** after a successful query, push the newest value back to quorum
-          members that answered with an older timestamp (off by
-          default) *)
+          members that answered with an older timestamp — per stale
+          (member, key), batched reads included (off by default) *)
   adaptive_timeout : bool;
       (** derive the phase deadline from observed RTT quantiles
           ({!Detect.Rto}) instead of the fixed [timeout] *)
@@ -95,9 +102,10 @@ val create :
     exclusive per-key locks around the quorum protocol.  [view] overrides
     the config-selected failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/
-    commit, plus a lock phase when [locks] is in force) and the counters
-    [coord.deadline_exceeded] and [coord.repairs_sent] are maintained;
-    without it no instrumentation work is done. *)
+    commit and retries, plus a lock phase when [locks] is in force) — a
+    batch opens one span per key it names, duplicates included — and the
+    counters [coord.deadline_exceeded] and [coord.repairs_sent] are
+    maintained; without it no instrumentation work is done. *)
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
 
@@ -117,7 +125,9 @@ val write :
 
 val read_batch :
   t -> ?retry:bool -> keys:int list -> ((int * read_result option) list -> unit) -> unit
-(** Batched read: ONE quorum round answers every key.  Each quorum member
+(** Batched read: ONE quorum round answers every key.  It is the same
+    round as {!read} — same retries, backoff, deadline, budget, fencing and
+    read repair — over one key slot per requested key.  Each quorum member
     receives a single {!Message.t.Read_batch} envelope (one message, one
     service-queue slot) and answers all keys at once; the callback gets a
     per-key result in request order — per-key success/failure reporting,
@@ -142,8 +152,9 @@ val write_batch :
     two-phase-commit exchange carries all keys — a single
     {!Message.t.Prepare_batch} envelope per write-quorum member, staged
     and committed atomically under one op id, one [Commit]/[Commit_ack]
-    pair per member.  The callback gets each key's commit timestamp (or
-    [None] for the whole batch on failure), in request order.
+    pair per member — the round of {!write}, over one key slot per
+    write.  The callback gets each key's commit timestamp (or [None] for
+    the whole batch on failure), in request order.
 
     Singleton delegation, locking and budget semantics as in
     {!read_batch}. *)

@@ -1,6 +1,13 @@
 (** Low-level quorum RPC endpoint: the phase primitives shared by the
     transaction layer and the reconfiguration engine.
 
+    Each primitive is a one-key {!Round} of the quorum-round engine the
+    {!Coordinator} also runs: {!query} is a query-only round, {!prepare} a
+    prepare-only round with a forced timestamp, {!commit_staged} and
+    {!abort_staged} finish that round, and {!write} composes them.  Retry,
+    backoff, deadline, budget, incarnation fencing and breaker evidence are
+    therefore the coordinator's own.
+
     One endpoint per client site; it owns the site's message handler.  All
     operations assemble quorums from a pluggable failure-detector view
     ({!Detect.View}) — by default the simulator's ground-truth oracle
@@ -15,7 +22,7 @@
 
 type t
 
-type config = {
+type config = Round.config = {
   timeout : float;  (** fixed per-phase response deadline *)
   max_retries : int;  (** quorum re-assembly attempts per operation *)
   adaptive_timeout : bool;
@@ -102,15 +109,21 @@ val prepare :
   unit
 (** Stage the write on every member of a write quorum.  On success yields
     [(op, members)]: the staging handle to later {!commit_staged} or
-    {!abort_staged}. *)
+    {!abort_staged}.  A retry (timeout, refusal or shed) first sends
+    [Abort] to the members that staged, then re-prepares under a fresh op
+    on a freshly assembled quorum. *)
 
 val commit_staged :
   t -> op:int -> members:int list -> (bool -> unit) -> unit
 (** Commit a staged write everywhere, resending on timeout; [false] when
-    some member never acknowledged (outcome uncertain). *)
+    some member never acknowledged (outcome uncertain).  Each member's
+    [Commit] echoes the incarnation it acked the prepare under.  [op] and
+    [members] must be a handle {!prepare} returned and not yet committed
+    or aborted; raises [Invalid_argument] otherwise. *)
 
 val abort_staged : t -> op:int -> members:int list -> unit
-(** Fire-and-forget rollback. *)
+(** Fire-and-forget rollback of a {!prepare} handle (same contract as
+    {!commit_staged}). *)
 
 val write :
   t ->
