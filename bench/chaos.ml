@@ -86,15 +86,15 @@ let churn_cell_json (c : Eval.Churn.cell) =
     (Arbitrary.Config.name_to_string c.Eval.Churn.c_config)
     c.Eval.Churn.c_n
     (json_escape c.Eval.Churn.c_kind)
-    r.Replication.Churn_harness.reads_ok r.Replication.Churn_harness.writes_ok
-    r.Replication.Churn_harness.promotions_done
-    r.Replication.Churn_harness.decommissions_done
-    r.Replication.Churn_harness.provision_runs
-    r.Replication.Churn_harness.provision_chunks
-    r.Replication.Churn_harness.provision_resumes
-    r.Replication.Churn_harness.provision_donor_failovers
-    r.Replication.Churn_harness.failed_rejoins
-    r.Replication.Churn_harness.safety_violations
+    r.Replication.Harness.reads_ok r.Replication.Harness.writes_ok
+    r.Replication.Harness.promotions_done
+    r.Replication.Harness.decommissions_done
+    r.Replication.Harness.provision_runs
+    r.Replication.Harness.provision_chunks
+    r.Replication.Harness.provision_resumes
+    r.Replication.Harness.provision_donor_failovers
+    r.Replication.Harness.failed_rejoins
+    r.Replication.Harness.safety_violations
 
 (* Membership-churn smoke gate: the fenced campaign (four configs × four
    scenarios, plus the sharded run) must be violation-free, the unfenced

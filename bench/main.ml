@@ -557,24 +557,14 @@ let shard_hotpath () =
       zipf_theta = 0.99;
       think_time = 0.1;
       seed = 11;
+      sharding =
+        Some { Replication.Harness.sharding_defaults with shards = 16 };
     }
   in
-  let sc =
-    {
-      Replication.Shard_harness.base;
-      shards = 16;
-      strategy = Arbitrary.Shard_map.Hash;
-      service_time = 0.0;
-      shard_failures = [];
-      reconfig = [];
-    }
-  in
-  let r, w = wall (fun () -> Replication.Shard_harness.run sc) in
-  let imb_max, imb_mean = Replication.Shard_harness.imbalance r in
-  let ratio = Replication.Shard_harness.imbalance_ratio r in
-  let violations =
-    r.Replication.Shard_harness.agg.Replication.Harness.safety_violations
-  in
+  let r, w = wall (fun () -> Replication.Harness.run base) in
+  let imb_max, imb_mean = Replication.Harness.imbalance r in
+  let ratio = Replication.Harness.imbalance_ratio r in
+  let violations = r.Replication.Harness.safety_violations in
   Printf.printf
     "  shard skew (S=16, zipf 0.99): per-shard ops max %.0f mean %.1f \
      imbalance %.2fx, %d violations (%.2fs)\n"

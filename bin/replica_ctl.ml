@@ -70,8 +70,8 @@ let shards_arg =
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Partition the keyspace over S independent tree instances \
-           (multi-tree control plane).  $(b,--shards 1) runs the sharded \
-           harness in its byte-identical-to-unsharded configuration.")
+           (multi-tree control plane).  $(b,--shards 1) is byte-identical \
+           to omitting the flag.")
 
 let shard_strategy_conv =
   let parse s =
@@ -93,18 +93,33 @@ let shard_strategy_arg =
 
 (* The sharding trailer printed by simulate/chaos when S > 1: routing and
    balance, so skew is visible from the CLI. *)
-let pp_shard_summary ppf (strategy, r) =
-  let module Sh = Replication.Shard_harness in
-  Format.fprintf ppf "sharding: shards=%d strategy=%s active=[%s]@,"
-    r.Sh.shards
-    (Arbitrary.Shard_map.strategy_to_string strategy)
-    (String.concat ";" (List.map string_of_int r.Sh.active_shards));
-  Format.fprintf ppf "per-shard ops=[%s] keys=[%s] imbalance=%.2f"
-    (String.concat ";"
-       (List.map string_of_int (Array.to_list r.Sh.per_shard_ops)))
-    (String.concat ";"
-       (List.map string_of_int (Array.to_list r.Sh.per_shard_keys)))
-    (Sh.imbalance_ratio r)
+let print_shard_summary strategy (r : Replication.Harness.report) =
+  let ints xs = String.concat ";" (List.map string_of_int xs) in
+  if r.shards > 1 then
+    Format.printf
+      "@[<v>sharding: shards=%d strategy=%s active=[%s]@,\
+       per-shard ops=[%s] keys=[%s] imbalance=%.2f@]@."
+      r.shards
+      (Arbitrary.Shard_map.strategy_to_string strategy)
+      (ints r.active_shards)
+      (ints (Array.to_list r.per_shard_ops))
+      (ints (Array.to_list r.per_shard_keys))
+      (Replication.Harness.imbalance_ratio r)
+
+(* [--shards S]: shards 1..S-1 get their own failure schedules (shard 0's
+   is the scenario's [failures]); no flag keeps the single tree. *)
+let sharding_of ~strategy ~failures_for shards =
+  Option.map
+    (fun shards ->
+      {
+        Replication.Harness.shards;
+        strategy;
+        shard_failures =
+          List.init (max 0 (shards - 1)) (fun i ->
+              (i + 1, failures_for (i + 1)));
+        reconfig = [];
+      })
+    shards
 
 let metrics_json_arg =
   Arg.(
@@ -528,29 +543,12 @@ let simulate_cmd =
             s.Replication.Harness.coordinator with
             Replication.Coordinator.pipeline_levels;
           };
+        failures = failures_for 0;
+        sharding = sharding_of ~strategy ~failures_for shards;
       }
     in
     let obs, obs_finish = obs_setup ~metrics_json ~spans_jsonl in
-    let report, shard_summary =
-      match shards with
-      | None ->
-        ( Replication.Harness.run ?obs
-            { base with Replication.Harness.failures = failures_for 0 },
-          None )
-      | Some shards ->
-        let sc =
-          {
-            (Replication.Shard_harness.default ~proto ~shards) with
-            Replication.Shard_harness.base;
-            strategy;
-            shard_failures =
-              (if mtbf = None then []
-               else List.init shards (fun i -> (i, failures_for i)));
-          }
-        in
-        let r = Replication.Shard_harness.run ?obs sc in
-        (r.Replication.Shard_harness.agg, Some r)
-    in
+    let report = Replication.Harness.run ?obs base in
     Format.printf "%s over %d replicas:@.%a@."
       (Arbitrary.Config.name_to_string name)
       n_replicas Replication.Harness.pp_report report;
@@ -559,10 +557,7 @@ let simulate_cmd =
         batch (max 1 pipeline) report.Replication.Harness.batches
         report.Replication.Harness.coalesced_ops
         report.Replication.Harness.wal_syncs;
-    (match shard_summary with
-    | Some r when r.Replication.Shard_harness.shards > 1 ->
-      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, r)
-    | _ -> ());
+    print_shard_summary strategy report;
     obs_finish ()
   in
   Cmd.v
@@ -733,26 +728,11 @@ let chaos_cmd =
         wal = wal_policy;
         catch_up;
         check_consistency;
+        failures = entries_for 0;
+        sharding = sharding_of ~strategy ~failures_for:entries_for shards;
       }
     in
-    let report, shard_summary =
-      match shards with
-      | None ->
-        ( Replication.Harness.run
-            { base with Replication.Harness.failures = entries_for 0 },
-          None )
-      | Some shards ->
-        let sc =
-          {
-            (Replication.Shard_harness.default ~proto ~shards) with
-            Replication.Shard_harness.base;
-            strategy;
-            shard_failures = List.init shards (fun i -> (i, entries_for i));
-          }
-        in
-        let r = Replication.Shard_harness.run sc in
-        (r.Replication.Shard_harness.agg, Some r)
-    in
+    let report = Replication.Harness.run base in
     Format.printf "%s over %d replicas: schedule=%s crash-mode=%a wal=%a \
                    catch-up=%s@."
       (Arbitrary.Config.name_to_string name)
@@ -761,10 +741,7 @@ let chaos_cmd =
       crash_mode Replication.Wal.pp_policy wal_policy
       (if catch_up then "on" else "off");
     Format.printf "%a@." Replication.Harness.pp_report report;
-    (match shard_summary with
-    | Some r when r.Replication.Shard_harness.shards > 1 ->
-      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, r)
-    | _ -> ());
+    print_shard_summary strategy report;
     if crash_mode = Dsim.Network.Amnesia then
       Format.printf
         "recovery: rejoins=%d keys-caught-up=%d abandoned=%d wal-replayed=%d \
@@ -968,35 +945,21 @@ let overload_cmd =
 
 (* --- membership: provision / promote / decommission ----------------------- *)
 
-(* Shared driver: a Churn_harness run over config × n with a failure and
+(* Shared driver: a churn run over config × n with a failure and
    membership script, printing the provisioning / membership counters and
    failing the process on any freshness violation. *)
 let run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size ~fence
     ~failures ~membership =
   let n = Eval.Config_metrics.feasible_n name n in
   let proto = Eval.Config_metrics.protocol_of name ~n in
-  let s = Replication.Churn_harness.default_scenario ~proto in
-  let scenario =
-    {
-      s with
-      Replication.Churn_harness.spares = 2;
-      n_clients = clients;
-      ops_per_client = ops;
-      key_space = 8;
-      think_time = 3.0;
-      failures = failures ~n;
-      membership = membership ~n;
-      seed;
-      coordinator = Eval.Chaos.chaos_coordinator;
-      horizon;
-      chunk_size;
-      fence_provisioning = fence;
-    }
-  in
-  (n, Replication.Churn_harness.run scenario)
+  ( n,
+    Replication.Harness.run
+      (Eval.Churn.scenario ~proto ~spares:2 ~clients ~ops ~key_space:8
+         ~chunk_size ~failures:(failures ~n) ~membership:(membership ~n) ~seed
+         ~horizon ~fence ()) )
 
-let print_churn_report ~name ~n ~fence (r : Replication.Churn_harness.report) =
-  let module Ch = Replication.Churn_harness in
+let print_churn_report ~name ~n ~fence (r : Replication.Harness.report) =
+  let module Ch = Replication.Harness in
   Format.printf "%s over %d replicas (+2 spares): fence=%s@."
     (Arbitrary.Config.name_to_string name)
     n
@@ -1140,7 +1103,7 @@ let promote_cmd =
     let membership ~n =
       if position < 0 || position >= n then
         invalid_arg "promote: --position out of range";
-      [ { Replication.Churn_harness.at; position; spare = n; fence = false } ]
+      [ { Replication.Harness.at; position; spare = n; fence = false } ]
     in
     let n, report =
       run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size
@@ -1167,7 +1130,7 @@ let decommission_cmd =
     let membership ~n =
       if position < 0 || position >= n then
         invalid_arg "decommission: --position out of range";
-      [ { Replication.Churn_harness.at; position; spare = n; fence = true } ]
+      [ { Replication.Harness.at; position; spare = n; fence = true } ]
     in
     let n, report =
       run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size

@@ -1,6 +1,5 @@
 module Config = Arbitrary.Config
-module Churn_harness = Replication.Churn_harness
-module Coordinator = Replication.Coordinator
+module Harness = Replication.Harness
 module Replica = Replication.Replica
 module Store = Replication.Store
 module Failure = Dsim.Failure
@@ -25,15 +24,6 @@ let default_kinds =
 
 let default_configs =
   [ Config.Mostly_read; Config.Mostly_write; Config.Arbitrary; Config.Unmodified ]
-
-(* Same degradation-tolerant coordinator the chaos campaign uses. *)
-let churn_coordinator =
-  {
-    Coordinator.default_config with
-    Coordinator.max_retries = 8;
-    adaptive_timeout = true;
-    deadline = 600.0;
-  }
 
 (* Failure scripts are phrased against the identity assignment the run
    starts with: site p holds position p, sites n.. are spares.  The
@@ -73,16 +63,16 @@ let membership_of kind ~n =
   match kind with
   | Donor_crash | Recipient_crash -> []
   | Partition_promotion ->
-    [ { Churn_harness.at = 100.0; position = min 1 (n - 1); spare = n;
+    [ { Harness.at = 100.0; position = min 1 (n - 1); spare = n;
         fence = false } ]
   | Rolling ->
     (* roll position 0 out to the spare and back (unfenced: the displaced
        occupant keeps its history and is re-promoted), then properly
        decommission position 1's occupant onto the second spare *)
     [
-      { Churn_harness.at = 80.0; position = 0; spare = n; fence = false };
-      { Churn_harness.at = 500.0; position = 0; spare = 0; fence = false };
-      { Churn_harness.at = 900.0; position = min 1 (n - 1); spare = n + 1;
+      { Harness.at = 80.0; position = 0; spare = n; fence = false };
+      { Harness.at = 500.0; position = 0; spare = 0; fence = false };
+      { Harness.at = 900.0; position = min 1 (n - 1); spare = n + 1;
         fence = true };
     ]
 
@@ -90,29 +80,42 @@ type cell = {
   c_config : Config.name;
   c_kind : string;
   c_n : int;
-  c_report : Churn_harness.report;
+  c_report : Harness.report;
 }
 
-let make_scenario ~proto ~n ~kind ~clients ~ops ~seed ~horizon ~fence ~wal =
-  let s = Churn_harness.default_scenario ~proto in
+(* One key per provisioning chunk by default, so transfers span enough
+   virtual time that the scripted mid-transfer crashes actually land
+   mid-transfer. *)
+let scenario ~proto ~spares ~clients ~ops ~key_space ?(chunk_size = 1)
+    ?(wal = Replication.Wal.Sync_on_commit) ~failures ~membership ~seed
+    ~horizon ~fence () =
   {
-    s with
-    Churn_harness.spares = 2;
-    n_clients = clients;
+    (Harness.default_scenario ~proto) with
+    Harness.n_clients = clients;
     ops_per_client = ops;
-    key_space = 8;
+    key_space;
     think_time = 3.0;
-    failures = failures_of kind ~n;
-    membership = membership_of kind ~n;
+    failures;
     seed;
-    coordinator = churn_coordinator;
+    coordinator = Chaos.chaos_coordinator;
     horizon;
+    crash_mode = Network.Amnesia;
     wal;
-    (* one key per chunk: transfers span enough virtual time that the
-       scripted mid-transfer crashes actually land mid-transfer *)
-    chunk_size = 1;
-    fence_provisioning = fence;
+    churn =
+      Some
+        {
+          Harness.churn_defaults with
+          spares;
+          membership;
+          chunk_size;
+          fence_provisioning = fence;
+        };
   }
+
+let make_scenario ~proto ~n ~kind ~clients ~ops ~seed ~horizon ~fence ~wal =
+  scenario ~proto ~spares:2 ~clients ~ops ~key_space:8 ~wal
+    ~failures:(failures_of kind ~n) ~membership:(membership_of kind ~n) ~seed
+    ~horizon ~fence ()
 
 let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
     ?(configs = default_configs) ?(kinds = default_kinds)
@@ -135,7 +138,7 @@ let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
       c_config = name;
       c_kind = kind_to_string kind;
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map ?domains run_cell specs
@@ -158,29 +161,16 @@ let run_negative ?(n = 45) ?(clients = 3) ?(ops = 40) ?(seed = 42)
     let n = Config_metrics.feasible_n name n in
     let proto = Config_metrics.protocol_of name ~n in
     let cell_seed = seed + (1000 * ci) in
-    let s = Churn_harness.default_scenario ~proto in
     let scenario =
-      {
-        s with
-        Churn_harness.spares = 0;
-        n_clients = clients;
-        ops_per_client = ops;
-        key_space = 4;
-        think_time = 3.0;
-        failures = blackout_failures ~n;
-        seed = cell_seed;
-        coordinator = churn_coordinator;
-        horizon;
-        wal = Replication.Wal.Async 60.0;
-        chunk_size = 1;
-        fence_provisioning = false;
-      }
+      scenario ~proto ~spares:0 ~clients ~ops ~key_space:4
+        ~wal:(Replication.Wal.Async 60.0) ~failures:(blackout_failures ~n)
+        ~membership:[] ~seed:cell_seed ~horizon ~fence:false ()
     in
     {
       c_config = name;
       c_kind = "blackout-unfenced";
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map ?domains run_cell (List.mapi (fun ci name -> (ci, name)) configs)
@@ -201,20 +191,20 @@ let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
         ~horizon ~fence:true ~wal:Replication.Wal.Sync_on_commit
     in
     let scenario =
-      { scenario with Churn_harness.failures = failures_of Donor_crash ~n }
+      { scenario with Harness.failures = failures_of Donor_crash ~n }
     in
     {
       c_config = config;
       c_kind = Printf.sprintf "shard-%d" shard;
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map ?domains run_cell (List.init shards Fun.id)
 
 let violations cells =
   List.fold_left
-    (fun acc c -> acc + c.c_report.Churn_harness.safety_violations)
+    (fun acc c -> acc + c.c_report.Harness.safety_violations)
     0 cells
 
 let rate ok failed =
@@ -230,18 +220,18 @@ let table cells =
           Config.name_to_string c.c_config;
           string_of_int c.c_n;
           c.c_kind;
-          Tablefmt.f4 (rate r.Churn_harness.reads_ok r.Churn_harness.reads_failed);
+          Tablefmt.f4 (rate r.Harness.reads_ok r.Harness.reads_failed);
           Tablefmt.f4
-            (rate r.Churn_harness.writes_ok r.Churn_harness.writes_failed);
-          Printf.sprintf "%d/%d" r.Churn_harness.promotions_done
-            r.Churn_harness.promotions_started;
-          string_of_int r.Churn_harness.decommissions_done;
-          string_of_int r.Churn_harness.provision_runs;
-          string_of_int r.Churn_harness.provision_chunks;
-          string_of_int r.Churn_harness.provision_resumes;
-          string_of_int r.Churn_harness.provision_donor_failovers;
-          string_of_int r.Churn_harness.failed_rejoins;
-          string_of_int r.Churn_harness.safety_violations;
+            (rate r.Harness.writes_ok r.Harness.writes_failed);
+          Printf.sprintf "%d/%d" r.Harness.promotions_done
+            r.Harness.promotions_started;
+          string_of_int r.Harness.decommissions_done;
+          string_of_int r.Harness.provision_runs;
+          string_of_int r.Harness.provision_chunks;
+          string_of_int r.Harness.provision_resumes;
+          string_of_int r.Harness.provision_donor_failovers;
+          string_of_int r.Harness.failed_rejoins;
+          string_of_int r.Harness.safety_violations;
         ])
       cells
   in

@@ -1,7 +1,8 @@
 (** §4-style membership-churn campaign: fault-injected provisioning,
     promotion and decommission over the four paper configurations.
 
-    Each cell is one {!Replication.Churn_harness} run: a client workload
+    Each cell is one {!Replication.Harness} run with a
+    {!Replication.Harness.churn} script: a client workload
     over a {!Quorum.Relabel}-wrapped tree while a scripted fault and
     membership schedule churns the sites.  Four scenario shapes:
 
@@ -32,8 +33,28 @@ type cell = {
   c_config : Arbitrary.Config.name;
   c_kind : string;
   c_n : int;
-  c_report : Replication.Churn_harness.report;
+  c_report : Replication.Harness.report;
 }
+
+val scenario :
+  proto:Quorum.Protocol.t ->
+  spares:int ->
+  clients:int ->
+  ops:int ->
+  key_space:int ->
+  ?chunk_size:int ->
+  ?wal:Replication.Wal.policy ->
+  failures:Dsim.Failure.entry list ->
+  membership:Replication.Harness.membership_op list ->
+  seed:int ->
+  horizon:float ->
+  fence:bool ->
+  unit ->
+  Replication.Harness.scenario
+(** An amnesia-crash client workload (think time 3, the chaos campaign's
+    degradation-tolerant coordinator) over a {!Replication.Harness.churn}
+    membership with [spares] spare sites; [chunk_size] keys per
+    provisioning chunk (default 1), commit-durable WAL by default. *)
 
 val run :
   ?n:int ->

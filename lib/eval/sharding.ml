@@ -1,7 +1,5 @@
 module Harness = Replication.Harness
-module Shard_harness = Replication.Shard_harness
-module Shard_txn_harness = Replication.Shard_txn_harness
-module Shard_map = Arbitrary.Shard_map
+module Txn_harness = Replication.Txn_harness
 module Config = Arbitrary.Config
 
 let configs =
@@ -106,25 +104,27 @@ let workload ~name ~seed ~theta () =
     },
     n )
 
+(* A zero service time leaves the overload model off entirely, so the
+   network keeps its instant-delivery path. *)
 let sharded ~shards ~service_time base =
   {
-    Shard_harness.base;
-    shards;
-    strategy = Shard_map.Hash;
-    service_time;
-    shard_failures = [];
-    reconfig = [];
+    base with
+    Harness.sharding = Some { Harness.sharding_defaults with shards };
+    overload =
+      (if service_time > 0.0 then
+         Some { Harness.overload_defaults with service_time }
+       else None);
   }
 
 (* [Harness.report.duration] is the engine clock, which coasts to the
    horizon on trailing timeout events; the workload makespan is the last
    operation completion. *)
-let makespan (r : Shard_harness.report) =
-  Array.fold_left Float.max 0.0 r.Shard_harness.agg.Harness.completions
+let makespan (r : Harness.report) =
+  Array.fold_left Float.max 0.0 r.Harness.completions
 
 let run_workload_cell ~seed (name, shards, theta) =
   let base, n = workload ~name ~seed ~theta () in
-  let r = Shard_harness.run (sharded ~shards ~service_time base) in
+  let r = Harness.run (sharded ~shards ~service_time base) in
   (name, shards, n, r)
 
 let run_identity ~seed () =
@@ -132,8 +132,10 @@ let run_identity ~seed () =
   let base, _ = workload ~name ~seed ~theta:0.0 () in
   let base = { base with Harness.n_clients = 4; ops_per_client = 50 } in
   let unsharded = Batching.fingerprint (Harness.run base) in
-  let r = Shard_harness.run (sharded ~shards:1 ~service_time:0.0 base) in
-  let sharded_fp = Batching.fingerprint r.Shard_harness.agg in
+  let sharded_fp =
+    Batching.fingerprint
+      (Harness.run (sharded ~shards:1 ~service_time:0.0 base))
+  in
   {
     id_config = name;
     fingerprint_sharded = sharded_fp;
@@ -147,30 +149,32 @@ let run_atomicity ~seed ~atomic () =
   let proto = Config_metrics.protocol_of name ~n in
   let sc =
     {
-      (Shard_txn_harness.default_scenario ~proto ~shards:4) with
-      Shard_txn_harness.atomic;
+      (Txn_harness.default_scenario ~proto) with
+      Txn_harness.shards = 4;
+      key_space = 16;
+      atomic;
       seed;
       txns_per_client = 25;
       shard_loss = [ (1, 0.3) ];
     }
   in
-  let r = Shard_txn_harness.run sc in
+  let r = Txn_harness.run sc in
   let c =
     Consistency.check_conservation
-      ~committed:r.Shard_txn_harness.committed_increments
-      ~uncertain:r.Shard_txn_harness.uncertain_increments
-      ~observed:r.Shard_txn_harness.observed_total
+      ~committed:r.Txn_harness.committed_increments
+      ~uncertain:r.Txn_harness.uncertain_increments
+      ~observed:r.Txn_harness.observed_total
   in
   {
     atomic;
-    committed = r.Shard_txn_harness.committed;
-    aborted = r.Shard_txn_harness.aborted;
-    uncertain = r.Shard_txn_harness.uncertain;
-    partial_commits = r.Shard_txn_harness.partial_commits;
+    committed = r.Txn_harness.committed;
+    aborted = r.Txn_harness.aborted;
+    uncertain = r.Txn_harness.uncertain;
+    partial_commits = r.Txn_harness.partial_commits;
     phantoms = c.Consistency.phantom_increments;
     lost = c.Consistency.lost_increments;
     conserved = Consistency.conserved c;
-    cross_shard = r.Shard_txn_harness.cross_shard_txns;
+    cross_shard = r.Txn_harness.cross_shard_txns;
   }
 
 let run_reconfig ~seed () =
@@ -187,32 +191,31 @@ let run_reconfig ~seed () =
       check_consistency = true;
     }
   in
+  let reconfig =
+    [
+      { Harness.at = 30.0; action = Harness.Split 1 };
+      { Harness.at = 90.0; action = Harness.Merge { into = 0; from_ = 3 } };
+    ]
+  in
   let sc =
     {
-      (sharded ~shards:4 ~service_time:0.0 base) with
-      Shard_harness.reconfig =
-        [
-          { Shard_harness.at = 30.0; action = Shard_harness.Split 1 };
-          {
-            Shard_harness.at = 90.0;
-            action = Shard_harness.Merge { into = 0; from_ = 3 };
-          };
-        ];
+      base with
+      Harness.sharding =
+        Some { Harness.sharding_defaults with shards = 4; reconfig };
     }
   in
-  let r = Shard_harness.run sc in
-  let offline = Consistency.check r.Shard_harness.agg.Harness.spans in
+  let r = Harness.run sc in
+  let offline = Consistency.check r.Harness.spans in
   {
-    rc_completed = Harness.completed r.Shard_harness.agg;
+    rc_completed = Harness.completed r;
     rc_violations =
-      r.Shard_harness.agg.Harness.safety_violations
-      + List.length offline.Consistency.violations;
-    splits = r.Shard_harness.splits;
-    merges = r.Shard_harness.merges;
-    migrated_keys = r.Shard_harness.migrated_keys;
-    migration_failures = r.Shard_harness.migration_failures;
-    well_formed = r.Shard_harness.map_well_formed;
-    active_shards = r.Shard_harness.active_shards;
+      r.Harness.safety_violations + List.length offline.Consistency.violations;
+    splits = r.Harness.splits;
+    merges = r.Harness.merges;
+    migrated_keys = r.Harness.migrated_keys;
+    migration_failures = r.Harness.migration_failures;
+    well_formed = r.Harness.map_well_formed;
+    active_shards = r.Harness.active_shards;
   }
 
 let run ?(seed = 42) ?domains () =
@@ -242,7 +245,7 @@ let run ?(seed = 42) ?domains () =
     List.map
       (fun ((_, _, _), (name, shards, n, r)) ->
         let duration = makespan r in
-        let completed = Harness.completed r.Shard_harness.agg in
+        let completed = Harness.completed r in
         let speedup =
           if duration <= 0.0 then 0.0 else base_duration name /. duration
         in
@@ -255,7 +258,7 @@ let run ?(seed = 42) ?domains () =
           throughput =
             (if duration <= 0.0 then 0.0
              else float_of_int completed /. duration);
-          violations = r.Shard_harness.agg.Harness.safety_violations;
+          violations = r.Harness.safety_violations;
           speedup;
           efficiency = speedup /. float_of_int shards;
         })
@@ -264,17 +267,17 @@ let run ?(seed = 42) ?domains () =
   let skew =
     List.map
       (fun ((_, _, theta), (name, shards, _, r)) ->
-        let imb_max, imb_mean = Shard_harness.imbalance r in
+        let imb_max, imb_mean = Harness.imbalance r in
         {
           sk_config = name;
           sk_shards = shards;
           theta;
-          sk_completed = Harness.completed r.Shard_harness.agg;
-          sk_violations = r.Shard_harness.agg.Harness.safety_violations;
-          per_shard_ops = r.Shard_harness.per_shard_ops;
+          sk_completed = Harness.completed r;
+          sk_violations = r.Harness.safety_violations;
+          per_shard_ops = r.Harness.per_shard_ops;
           imbalance_max = imb_max;
           imbalance_mean = imb_mean;
-          imbalance_ratio = Shard_harness.imbalance_ratio r;
+          imbalance_ratio = Harness.imbalance_ratio r;
         })
       skewed
   in

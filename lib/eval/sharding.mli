@@ -2,8 +2,9 @@
     saturating workload.
 
     Every cell runs the same closed-loop workload (32 clients, 1024
-    operations, 50/50 mix over 1024 keys) against {!Replication.Shard_harness}
-    with a per-replica service cost, so single-tree throughput saturates
+    operations, 50/50 mix over 1024 keys) against S tree instances of
+    {!Replication.Harness} ({!Replication.Harness.sharding}) with a
+    per-replica service cost, so single-tree throughput saturates
     on the root replica and shard-count scaling is measurable in virtual
     time.  Five cell families:
 
@@ -13,8 +14,8 @@
       ≥ 0.7 × ideal at S=16 on at least one configuration.
     - {b skew}: the same workload at S=16 under Zipfian keys (θ = 0.99):
       per-shard operation histograms and the max/mean imbalance report.
-    - {b identity}: the S=1 control — the sharded harness must reproduce
-      the unsharded {!Replication.Harness} run byte-for-byte
+    - {b identity}: the S=1 control — a run with an explicit one-shard
+      [sharding] must reproduce the run without one byte-for-byte
       ({!Batching.fingerprint} equality).
     - {b atomicity}: cross-shard increment transactions through a lossy
       shard, once with the 2PC barrier ([conserved], no partials) and

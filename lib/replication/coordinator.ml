@@ -60,6 +60,7 @@ type t = {
   e : kind Round.t;
   locks : Lock_manager.t option;
   config : config;
+  mutable lock_seq : int;  (* locked operations issued so far *)
   mutable reads_ok : int;
   mutable reads_failed : int;
   mutable writes_ok : int;
@@ -96,13 +97,21 @@ let suspicion_view ~net ~site ~n ~timeout =
       Hashtbl.replace suspects site (now () +. (4.0 *. timeout)))
     ()
 
+(* Every locked operation is its own lock owner: a client can run several
+   operations on one key at once (pipelined windows, per-shard
+   sub-batches), and a site-wide owner would make the second request
+   invalid.  Owners are negative and carry the site in their low 20 bits,
+   so they never collide with another coordinator's, a transaction's or a
+   site-owned reconfiguration fence. *)
 let with_lock t ~key ~mode body =
   match t.locks with
   | None -> body (fun k -> k ())
   | Some lm ->
-    Lock_manager.acquire lm ~key ~mode ~owner:t.e.site (fun () ->
+    t.lock_seq <- t.lock_seq + 1;
+    let owner = -((t.lock_seq lsl 20) lor t.e.site) in
+    Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
         body (fun k ->
-            Lock_manager.release lm ~key ~owner:t.e.site;
+            Lock_manager.release lm ~key ~owner;
             k ()))
 
 (* Push the newest value back to quorum members that replied with an older
@@ -224,6 +233,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       e;
       locks;
       config;
+      lock_seq = 0;
       reads_ok = 0;
       reads_failed = 0;
       writes_ok = 0;

@@ -1,6 +1,8 @@
 (** End-to-end simulation scenarios: clients driving a replica control
     protocol over the simulated network, with failure injection and a
-    built-in safety checker.
+    built-in safety checker.  This is the one key-value runner: optional
+    sub-records add overload, batching, sharding over several tree
+    instances and membership churn to the same client loop and report.
 
     The safety property monitored is one-copy read freshness: a read that
     {e starts} after a write to the same key {e completed successfully}
@@ -69,6 +71,67 @@ type batching = {
     it too is byte-identical — the determinism control for the batching
     layer. *)
 
+type reconfig_action =
+  | Split of int  (** split this shard; the new id is allocated at fire time *)
+  | Merge of { into : int; from_ : int }
+
+type reconfig = { at : float; action : reconfig_action }
+
+type sharding = {
+  shards : int;  (** initial shard count S (>= 1) *)
+  strategy : Arbitrary.Shard_map.strategy;
+  shard_failures : (int * Dsim.Failure.entry list) list;
+      (** per-shard failure schedules, applied after {!scenario.failures}
+          (which always hits shard 0) in list order *)
+  reconfig : reconfig list;  (** online splits/merges; requires [use_locks] *)
+}
+(** The keyspace is partitioned by a deterministic {!Arbitrary.Shard_map}
+    into S tree instances, each with its own forked protocol, network,
+    replicas, stores and WALs, all over one engine.  Clients keep one
+    coordinator per shard and route every operation at issue time; one
+    lock manager, safety checker, retry budget and breaker span all
+    shards, and the overload, batching, crash and detector knobs apply to
+    every shard.  [None] in
+    {!scenario.sharding} is S = 1 with no split/merge script — the same
+    run as [Some] with [shards = 1].
+
+    A split or merge fences the moving keys (exclusive locks, taken while
+    routing still points at the source), copies them to the target by
+    forced-timestamp state transfer ({!Quorum_rpc.write} with [~ts]),
+    flips the shard map and releases the fences.  The migration endpoints
+    sit at one extra network address past every client. *)
+
+val sharding_defaults : sharding
+(** One hash-partitioned shard, no per-shard failures, no resharding. *)
+
+type membership_op = {
+  at : float;  (** virtual time of the flow's start *)
+  position : int;  (** tree position whose occupant is replaced *)
+  spare : int;  (** site id promoted into the position *)
+  fence : bool;
+      (** decommission the displaced occupant (drain-fence-remove);
+          without it the occupant becomes a re-promotable spare *)
+}
+
+type churn = {
+  spares : int;  (** extra sites beyond the tree universe *)
+  membership : membership_op list;
+  chunk_size : int;  (** keys per provisioning snapshot chunk *)
+  fence_provisioning : bool;
+      (** [false] = the negative control: serve while provisioning *)
+  provision_timeout : float;
+}
+(** Membership churn: the tree is {!Quorum.Relabel}-wrapped over
+    [n + spares] sites (spares start outside every quorum), and a
+    scripted {!Reconfig.promote}/decommission stream runs next to the
+    failure schedule.  Every replica rejoins by snapshot + WAL-tail
+    provisioning ({!Replica.provision}) instead of quorum catch-up, so
+    [catch_up] is ignored.  Needs [use_locks] and a single shard. *)
+
+val churn_defaults : churn
+(** One spare, four keys per chunk, fenced provisioning, timeout 30, no
+    membership changes. *)
+
 type scenario = {
   proto : Quorum.Protocol.t;
   n_clients : int;
@@ -79,7 +142,7 @@ type scenario = {
   latency : Dsim.Latency.t;
   loss_rate : float;
   think_time : float;  (** mean exponential delay between a client's ops *)
-  failures : Dsim.Failure.entry list;
+  failures : Dsim.Failure.entry list;  (** shard 0's failure schedule *)
   seed : int;
   use_locks : bool;
   coordinator : Coordinator.config;
@@ -108,12 +171,14 @@ type scenario = {
   batching : batching option;
       (** windowed batched clients, WAL group commit and pipelining
           (default [None]: the classic one-op loop) *)
+  sharding : sharding option;  (** default [None]: one tree *)
+  churn : churn option;  (** default [None]: fixed membership *)
 }
 
 val default_scenario : proto:Quorum.Protocol.t -> scenario
 (** 4 clients × 50 ops, 50% reads, 8 keys, uniform keys, exponential(1)
     latency, no loss, no failures, locks on, oracle detector, horizon
-    100000. *)
+    100000, one tree, fixed membership. *)
 
 type report = {
   duration : float;  (** virtual time at completion *)
@@ -168,7 +233,30 @@ type report = {
   wal_syncs : int;
       (** synchronous WAL forces across all replicas; under group commit a
           whole batch counts one *)
+  shards : int;  (** shard ids allocated (including split targets) *)
+  active_shards : int list;
+  per_shard_ops : int array;  (** successful ops routed to each shard *)
+  per_shard_keys : int array;  (** final keys owned per shard *)
+  migrated_keys : int;  (** keys copied by split/merge state transfer *)
+  migration_failures : int;  (** keys whose copy exhausted its retries *)
+  splits : int;
+  merges : int;
+  map_well_formed : bool;
+      (** final map invariant ({!Arbitrary.Shard_map.well_formed}) *)
+  promotions_started : int;
+  promotions_done : int;
+  decommissions_done : int;
+  provision_runs : int;
+  provision_chunks : int;
+  provision_resumes : int;
+  provision_donor_failovers : int;
+  provision_rounds : int;
+  provision_stale : int;
+  failed_rejoins : int;
+  replica_status : string array;  (** per-site {!Replica.status_label} *)
 }
+(** Counters and per-replica arrays are summed or concatenated
+    shard-major over every tree instance. *)
 
 val run :
   ?obs:Obs.t ->
@@ -201,5 +289,12 @@ val measured_read_load : report -> float
 
 val measured_write_load : report -> float
 (** max over replicas of prepares seen / total successful writes. *)
+
+val imbalance : report -> float * float
+(** (max, mean) successful ops per active shard — the skew report.  Both
+    0 when nothing completed. *)
+
+val imbalance_ratio : report -> float
+(** max/mean (1.0 when degenerate): 1.0 = perfectly balanced. *)
 
 val pp_report : Format.formatter -> report -> unit

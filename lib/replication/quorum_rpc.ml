@@ -15,7 +15,7 @@ let default_config = Round.default_config
    over one key, so a write is three rounds (query, prepare, commit). *)
 type kind =
   | Query_k of ((Timestamp.t * string) option -> unit)
-  | Prepare_k of ((int * int list) option -> unit)
+  | Prepare_k of (int option -> unit)
   | Commit_k of (bool -> unit)
 
 type t = kind Round.t
@@ -41,7 +41,7 @@ let finished (r : kind Round.round) ok =
       (if ok then
          Some (Timestamp.make ~version:r.ver.(0) ~sid:r.sid.(0), r.vals.(0))
        else None)
-  | Prepare_k k -> k (if ok then Some (r.op, Round.members r) else None)
+  | Prepare_k k -> k (if ok then Some r.op else None)
   | Commit_k k -> k ok
 
 let create ~site ~net ~proto ?view ?budget ?breaker ?obs
@@ -103,9 +103,9 @@ let commit_staged_sp t ~span ~op k =
   r.spans.(0) <- span;
   Round.commit t r
 
-let commit_staged t ~op ~members:_ k = commit_staged_sp t ~span:None ~op k
+let commit_staged t ~op k = commit_staged_sp t ~span:None ~op k
 
-let abort_staged t ~op ~members:_ =
+let abort_staged t ~op =
   let r = Round.staged t ~op in
   Round.abort t r;
   Round.discard t r
@@ -120,7 +120,7 @@ let write t ?(retry = false) ~key ?ts ~value k =
   let do_write ts =
     prepare_sp t ~span ~key ~ts ~value (function
       | None -> finishk None
-      | Some (op, _) ->
+      | Some op ->
         commit_staged_sp t ~span ~op (fun ok ->
             finishk (if ok then Some ts else None)))
   in

@@ -105,23 +105,22 @@ val prepare :
   key:int ->
   ts:Timestamp.t ->
   value:string ->
-  ((int * int list) option -> unit) ->
+  (int option -> unit) ->
   unit
 (** Stage the write on every member of a write quorum.  On success yields
-    [(op, members)]: the staging handle to later {!commit_staged} or
+    [op]: the staging handle to later {!commit_staged} or
     {!abort_staged}.  A retry (timeout, refusal or shed) first sends
     [Abort] to the members that staged, then re-prepares under a fresh op
     on a freshly assembled quorum. *)
 
-val commit_staged :
-  t -> op:int -> members:int list -> (bool -> unit) -> unit
+val commit_staged : t -> op:int -> (bool -> unit) -> unit
 (** Commit a staged write everywhere, resending on timeout; [false] when
     some member never acknowledged (outcome uncertain).  Each member's
-    [Commit] echoes the incarnation it acked the prepare under.  [op] and
-    [members] must be a handle {!prepare} returned and not yet committed
-    or aborted; raises [Invalid_argument] otherwise. *)
+    [Commit] echoes the incarnation it acked the prepare under.  [op] must
+    be a handle {!prepare} returned and not yet committed or aborted;
+    raises [Invalid_argument] otherwise. *)
 
-val abort_staged : t -> op:int -> members:int list -> unit
+val abort_staged : t -> op:int -> unit
 (** Fire-and-forget rollback of a {!prepare} handle (same contract as
     {!commit_staged}). *)
 

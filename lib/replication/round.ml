@@ -178,8 +178,6 @@ let live_members r =
   in
   go (r.n_q - 1) []
 
-let members r = List.init r.n_w (fun i -> r.w.(i))
-
 (* --- observability hooks (single match, no work, when [obs = None]).
    Spans live per key slot, so a batch that names a key twice still opens
    and closes one span per entry. *)

@@ -164,9 +164,6 @@ val abort : 'k t -> 'k round -> unit
 val discard : 'k t -> 'k round -> unit
 (** Forget a round and return it to the pool. *)
 
-val members : 'k round -> int list
-(** The write quorum, in send order. *)
-
 val budget_attempt : 'k t -> unit
 (** Deposit one first-attempt token into the shared retry budget. *)
 

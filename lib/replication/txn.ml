@@ -56,6 +56,18 @@ let aborted mgr = mgr.aborted
 
 type outcome = Committed | Aborted of string
 
+(* The two abort reasons a caller must tell apart from plain aborts: the
+   2PC in-doubt window, and the non-atomic negative control's partial
+   apply (its reason carries the leg counts after this prefix). *)
+let in_doubt_reason = "commit acks incomplete (outcome uncertain)"
+let partial_reason = "non-atomic commit"
+
+let in_doubt = function Aborted r -> r = in_doubt_reason | Committed -> false
+
+let partial = function
+  | Aborted r -> String.starts_with ~prefix:partial_reason r
+  | Committed -> false
+
 type state = Active | Committing | Done of outcome
 
 type t = {
@@ -245,14 +257,13 @@ let prepare_all t keys versions k =
       let value = Hashtbl.find t.write_buf key in
       Quorum_rpc.prepare (rpc_for t.mgr key) ~key ~ts ~value (fun r ->
           (match r with
-          | Some (op, members) -> Hashtbl.replace staged key (op, members)
+          | Some op -> Hashtbl.replace staged key op
           | None -> failed := true);
           decr remaining;
           if !remaining = 0 then
             if !failed then begin
               Hashtbl.iter
-                (fun key (op, members) ->
-                  Quorum_rpc.abort_staged (rpc_for t.mgr key) ~op ~members)
+                (fun key op -> Quorum_rpc.abort_staged (rpc_for t.mgr key) ~op)
                 staged;
               k None
             end
@@ -266,8 +277,8 @@ let commit_all t staged k =
   let remaining = ref (List.length entries) in
   let failed = ref false in
   List.iter
-    (fun (key, (op, members)) ->
-      Quorum_rpc.commit_staged (rpc_for t.mgr key) ~op ~members (fun ok ->
+    (fun (key, op) ->
+      Quorum_rpc.commit_staged (rpc_for t.mgr key) ~op (fun ok ->
           if not ok then failed := true;
           decr remaining;
           if !remaining = 0 then k (not !failed)))
@@ -313,9 +324,8 @@ let commit t k =
                           k Committed
                         end
                         else begin
-                          let reason = "commit acks incomplete (outcome uncertain)" in
-                          finish t (Aborted reason);
-                          k (Aborted reason)
+                          finish t (Aborted in_doubt_reason);
+                          k (Aborted in_doubt_reason)
                         end))
               else begin
                 (* Negative control: every shard's leg prepares and
@@ -357,12 +367,10 @@ let commit t k =
                     end
                     else begin
                       let reason =
-                        if !uncertain then
-                          "commit acks incomplete (outcome uncertain)"
+                        if !uncertain then in_doubt_reason
                         else
-                          Printf.sprintf
-                            "non-atomic commit: %d/%d shard legs applied"
-                            !applied total
+                          Printf.sprintf "%s: %d/%d shard legs applied"
+                            partial_reason !applied total
                       in
                       finish t (Aborted reason);
                       k (Aborted reason)

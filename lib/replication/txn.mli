@@ -76,6 +76,15 @@ type t
 
 type outcome = Committed | Aborted of string
 
+val in_doubt : outcome -> bool
+(** An abort after the commit decision with some commit acks missing —
+    the classic 2PC in-doubt window: its effects may or may not be
+    visible. *)
+
+val partial : outcome -> bool
+(** An abort of the non-atomic negative control ([atomic:false]): each
+    shard leg committed or failed on its own, so some may have applied. *)
+
 val begin_txn : manager -> t
 
 val read : t -> key:int -> (string option -> unit) -> unit

@@ -1,9 +1,10 @@
 (* 4-ary min-heap specialized to float keys with FIFO tie-breaking — the
-   simulator's event queue.  The generic {!Heap} stores one boxed record
-   and one boxed float per entry; at millions of events per run that is
-   the single largest allocation source in the simulator.  Here keys live
-   in a flat float array and payloads in plain arrays, so a push
-   allocates nothing (amortized: the arrays double).
+   simulator's event queue.  A generic comparator-keyed binary heap (kept
+   in test/heap.ml as this module's equivalence oracle) stores one boxed
+   record and one boxed float per entry; at millions of events per run
+   that is the single largest allocation source in the simulator.  Here
+   keys live in a flat float array and payloads in plain arrays, so a
+   push allocates nothing (amortized: the arrays double).
 
    Each entry carries a handler ['h], an int [meta] and a payload ['p]:
    the split lets callers schedule preallocated handlers with per-event
@@ -12,8 +13,9 @@
 
    Entries are totally ordered by (time, insertion sequence) — a strict
    total order, so the pop order is a function of the ordering alone:
-   identical to [Heap.create ~compare:Float.compare] and independent of
-   heap arity or layout.  Three compiled-code effects shape the layout:
+   identical to the test oracle's [Heap.create ~compare:Float.compare]
+   and independent of heap arity or layout.  Three compiled-code effects
+   shape the layout:
 
    - The heap proper is (time, seq, slot) in three scalar arrays; the
      handler/meta/payload live in side arrays indexed by [slot] and never

@@ -1,4 +1,5 @@
-(** Binary min-heap priority queue.
+(** Binary min-heap priority queue — the reference implementation
+    {!Dsutil.Fheap} is checked against.
 
     The simulator's event queue needs stable ordering between events with
     equal keys, so every insertion is tagged with a monotonically increasing

@@ -2,51 +2,58 @@
    rejoin under a client workload, plus the campaign's negative control
    and the cold-rejoin cost comparison. *)
 
-module Churn_harness = Replication.Churn_harness
+module Harness = Replication.Harness
 module Failure = Dsim.Failure
 module Churn = Eval.Churn
 
 let proto () =
   Eval.Config_metrics.protocol_of Arbitrary.Config.Unmodified ~n:7
 
+(* Three amnesia-crash clients over a churning membership. *)
+let scenario ~spares ~membership =
+  {
+    (Harness.default_scenario ~proto:(proto ())) with
+    Harness.n_clients = 3;
+    ops_per_client = 40;
+    think_time = 3.0;
+    horizon = 3000.0;
+    crash_mode = Dsim.Network.Amnesia;
+    churn =
+      Some { Harness.churn_defaults with spares; membership; chunk_size = 1 };
+  }
+
 (* Plain run, no faults, no membership: behaves like an ordinary
    harness run with two idle spares. *)
 let test_quiet_run () =
-  let s = Churn_harness.default_scenario ~proto:(proto ()) in
-  let r = Churn_harness.run { s with Churn_harness.spares = 2 } in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.safety_violations;
-  Alcotest.(check bool) "work completed" true (Churn_harness.completed r > 0);
-  Alcotest.(check int) "no transfers" 0 r.Churn_harness.provision_runs;
+  let r = Harness.run (scenario ~spares:2 ~membership:[]) in
+  Alcotest.(check int) "no violations" 0 r.Harness.safety_violations;
+  Alcotest.(check bool) "work completed" true (Harness.completed r > 0);
+  Alcotest.(check int) "no transfers" 0 r.Harness.provision_runs;
   Alcotest.(check bool) "spares idle but serving" true
-    (Array.for_all (( = ) "serving") r.Churn_harness.replica_status)
+    (Array.for_all (( = ) "serving") r.Harness.replica_status)
 
 (* A scripted fenced decommission completes and leaves exactly one site
    permanently fenced, with zero violations. *)
 let test_decommission_flow () =
-  let s = Churn_harness.default_scenario ~proto:(proto ()) in
   let n = Quorum.Protocol.universe_size (proto ()) in
   let r =
-    Churn_harness.run
-      {
-        s with
-        Churn_harness.spares = 1;
-        chunk_size = 1;
-        membership =
-          [ { Churn_harness.at = 100.0; position = 1; spare = n; fence = true } ];
-      }
+    Harness.run
+      (scenario ~spares:1
+         ~membership:
+           [ { Harness.at = 100.0; position = 1; spare = n; fence = true } ])
   in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.safety_violations;
-  Alcotest.(check int) "promotion completed" 1 r.Churn_harness.promotions_done;
+  Alcotest.(check int) "no violations" 0 r.Harness.safety_violations;
+  Alcotest.(check int) "promotion completed" 1 r.Harness.promotions_done;
   Alcotest.(check int) "decommission completed" 1
-    r.Churn_harness.decommissions_done;
+    r.Harness.decommissions_done;
   let fenced =
-    Array.to_list r.Churn_harness.replica_status
+    Array.to_list r.Harness.replica_status
     |> List.filter (( = ) "decommissioned")
     |> List.length
   in
   Alcotest.(check int) "exactly one site fenced" 1 fenced;
   Alcotest.(check string) "the outgoing occupant" "decommissioned"
-    r.Churn_harness.replica_status.(1)
+    r.Harness.replica_status.(1)
 
 (* The four campaign scenarios on one config: fenced must be clean and
    must actually exercise failover, resume, promotion and decommission
@@ -61,15 +68,15 @@ let test_campaign_single_config () =
     List.fold_left (fun acc c -> acc + f c.Churn.c_report) 0 cells
   in
   Alcotest.(check bool) "donor failover exercised" true
-    (sum (fun r -> r.Churn_harness.provision_donor_failovers) >= 1);
+    (sum (fun r -> r.Harness.provision_donor_failovers) >= 1);
   Alcotest.(check bool) "resume exercised" true
-    (sum (fun r -> r.Churn_harness.provision_resumes) >= 1);
+    (sum (fun r -> r.Harness.provision_resumes) >= 1);
   Alcotest.(check bool) "promotions completed" true
-    (sum (fun r -> r.Churn_harness.promotions_done) >= 4);
+    (sum (fun r -> r.Harness.promotions_done) >= 4);
   Alcotest.(check bool) "a decommission completed" true
-    (sum (fun r -> r.Churn_harness.decommissions_done) >= 1);
+    (sum (fun r -> r.Harness.decommissions_done) >= 1);
   Alcotest.(check int) "nothing stuck" 0
-    (sum (fun r -> r.Churn_harness.failed_rejoins))
+    (sum (fun r -> r.Harness.failed_rejoins))
 
 (* The negative control must leak: unfenced provisioning over an async
    WAL under a total blackout produces stale reads the oracle catches.

@@ -100,6 +100,28 @@ let test_concurrent_ops_different_keys () =
   Engine.run engine;
   Alcotest.(check int) "all values correct" 10 !read_back
 
+(* Regression: the lock owner was the client site, so a second in-flight
+   operation on a key the same client already held or waited for raised
+   [Invalid_argument] (pipelined batch windows and per-shard sub-batches
+   both issue such pairs).  Each locked operation now owns its lock. *)
+let test_concurrent_ops_same_key_locked () =
+  let engine, net, _, _, _ = build () in
+  let locks = Replication.Lock_manager.create ~engine in
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Tree.of_spec "1-3-5") in
+  let coord = Coordinator.create ~site:8 ~net ~proto ~locks () in
+  let log = ref [] in
+  Coordinator.read coord ~key:0 (fun r -> log := ("r1", r <> None) :: !log);
+  Coordinator.write coord ~key:0 ~value:"a" (fun r ->
+      log := ("w", r <> None) :: !log);
+  Coordinator.read coord ~key:0 (fun r -> log := ("r2", r <> None) :: !log);
+  Engine.run engine;
+  Alcotest.(check (list (pair string bool)))
+    "all three complete, in lock order"
+    [ ("r1", true); ("w", true); ("r2", true) ]
+    (List.rev !log);
+  Alcotest.(check bool) "lock released" true
+    (Replication.Lock_manager.holders locks ~key:0 = None)
+
 (* Regression: caller-level re-issues must never deposit into the shared
    retry budget.  Every operation entry used to deposit unconditionally,
    so a storm of re-issued failures earned back the very tokens its
@@ -209,10 +231,11 @@ let test_rpc_commit_incomplete_on_crash () =
   Quorum_rpc.prepare rpc ~key:0 ~ts:(Timestamp.make ~version:1 ~sid:9)
     ~value:"v" (function
     | None -> Alcotest.fail "prepare must succeed"
-    | Some (op, members) ->
-      (* Kill one member before the commit round. *)
-      Network.crash net (List.hd members);
-      Quorum_rpc.commit_staged rpc ~op ~members (fun ok -> outcome := Some ok));
+    | Some op ->
+      (* Kill one site per level before the commit round: whichever level
+         staged, one of its members is gone. *)
+      List.iter (Network.crash net) [ 0; 2 ];
+      Quorum_rpc.commit_staged rpc ~op (fun ok -> outcome := Some ok));
   Engine.run engine;
   Alcotest.(check bool) "commit reported incomplete" true (!outcome = Some false)
 
@@ -236,6 +259,8 @@ let suite =
     Alcotest.test_case "latency stats recorded" `Quick test_latency_stats_recorded;
     Alcotest.test_case "concurrent ops on different keys" `Quick
       test_concurrent_ops_different_keys;
+    Alcotest.test_case "concurrent locked ops on one key" `Quick
+      test_concurrent_ops_same_key_locked;
     Alcotest.test_case "re-issue storm cannot refill budget" `Quick
       test_reissue_storm_cannot_refill_budget;
     Alcotest.test_case "rpc retry flag skips deposit" `Quick

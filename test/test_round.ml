@@ -58,8 +58,8 @@ let test_prepare_retry_aborts_staged () =
       Quorum_rpc.prepare w.rpc ~key:0 ~ts:(Timestamp.make ~version:1 ~sid:9)
         ~value:"v" (function
         | None -> outcome := Some false
-        | Some (op, members) ->
-          Quorum_rpc.commit_staged w.rpc ~op ~members (fun ok -> outcome := Some ok));
+        | Some op ->
+          Quorum_rpc.commit_staged w.rpc ~op (fun ok -> outcome := Some ok));
       Engine.run w.engine;
       Alcotest.(check (option bool)) "write committed" (Some true) !outcome;
       Alcotest.(check int)
@@ -167,14 +167,13 @@ let entries =
       fun w k ->
         Quorum_rpc.prepare w.rpc ~key:1 ~ts ~value:"p" (function
           | None -> k ()
-          | Some (op, members) ->
-            Quorum_rpc.commit_staged w.rpc ~op ~members (fun _ -> k ())) );
+          | Some op -> Quorum_rpc.commit_staged w.rpc ~op (fun _ -> k ())) );
     ( "rpc prepare + abort_staged",
       fun w k ->
         Quorum_rpc.prepare w.rpc ~key:1 ~ts ~value:"p" (function
           | None -> k ()
-          | Some (op, members) ->
-            Quorum_rpc.abort_staged w.rpc ~op ~members;
+          | Some op ->
+            Quorum_rpc.abort_staged w.rpc ~op;
             k ()) );
     ("rpc write", fun w k -> Quorum_rpc.write w.rpc ~key:1 ~value:"w" (fun _ -> k ()));
     ( "rpc write forced ts",

@@ -1,10 +1,9 @@
-(* The sharded multi-tree control plane: S=1 byte-identity with the
-   unsharded harness, per-shard routing and accounting, determinism per
-   seed, crash recovery per shard, and online split/merge with fenced
-   state-transfer migration. *)
+(* The sharded multi-tree control plane: an explicit one-shard run is
+   byte-identical to a run without sharding, per-shard routing and
+   accounting, determinism per seed, crash recovery per shard, and online
+   split/merge with fenced state-transfer migration. *)
 
 module Harness = Replication.Harness
-module Shard_harness = Replication.Shard_harness
 module Shard_map = Arbitrary.Shard_map
 module Batching = Eval.Batching
 module Consistency = Eval.Consistency
@@ -28,19 +27,23 @@ let base_scenario ?(seed = 42) ?(clients = 3) ?(ops = 40) ?(key_space = 32)
     check_consistency = true;
   }
 
-let sharded ?(shards = 4) ?(strategy = Shard_map.Hash) base =
-  { (Shard_harness.default ~proto:base.Harness.proto ~shards) with base; strategy }
+let sharded ?(shards = 4) ?(strategy = Shard_map.Hash) ?(shard_failures = [])
+    ?(reconfig = []) base =
+  {
+    base with
+    Harness.sharding = Some { shards; strategy; shard_failures; reconfig };
+  }
 
 (* --- S=1 byte-identity --------------------------------------------------- *)
 
 let test_s1_identity () =
   let base = base_scenario () in
   let unsharded = Harness.run base in
-  let r = Shard_harness.run (sharded ~shards:1 base) in
+  let r = Harness.run (sharded ~shards:1 base) in
   Alcotest.(check string)
     "S=1 fingerprint == unsharded fingerprint"
     (Batching.fingerprint unsharded)
-    (Batching.fingerprint r.Shard_harness.agg)
+    (Batching.fingerprint r)
 
 let test_s1_identity_batched () =
   let batching =
@@ -48,12 +51,12 @@ let test_s1_identity_batched () =
   in
   let base = { (base_scenario ~seed:7 ()) with batching } in
   let unsharded = Harness.run base in
-  let r = Shard_harness.run (sharded ~shards:1 base) in
+  let r = Harness.run (sharded ~shards:1 base) in
   Alcotest.(check string)
     "S=1 batched fingerprint == unsharded"
     (Batching.fingerprint unsharded)
-    (Batching.fingerprint r.Shard_harness.agg);
-  Alcotest.(check bool) "batches engaged" true (r.Shard_harness.agg.Harness.batches > 0)
+    (Batching.fingerprint r);
+  Alcotest.(check bool) "batches engaged" true (r.Harness.batches > 0)
 
 let test_s1_identity_amnesia_failures () =
   let entries seed =
@@ -68,54 +71,51 @@ let test_s1_identity_amnesia_failures () =
     }
   in
   let unsharded = Harness.run base in
-  let shard_scenario =
-    {
-      (sharded ~shards:1 { base with failures = [] }) with
-      shard_failures = [ (0, entries 1234) ];
-    }
+  let r =
+    Harness.run
+      (sharded ~shards:1 ~shard_failures:[ (0, entries 1234) ]
+         { base with failures = [] })
   in
-  let r = Shard_harness.run shard_scenario in
   Alcotest.(check string)
     "S=1 amnesia+crashes fingerprint == unsharded"
     (Batching.fingerprint unsharded)
-    (Batching.fingerprint r.Shard_harness.agg)
+    (Batching.fingerprint r)
 
 (* --- sharded runs -------------------------------------------------------- *)
 
 let test_sharded_completes_and_routes () =
   let base = base_scenario ~clients:4 ~ops:30 ~key_space:64 () in
-  let r = Shard_harness.run (sharded ~shards:4 base) in
+  let r = Harness.run (sharded ~shards:4 base) in
   let total = 4 * 30 in
-  Alcotest.(check int) "all ops complete" total (Harness.completed r.Shard_harness.agg);
+  Alcotest.(check int) "all ops complete" total (Harness.completed r);
   Alcotest.(check int) "no safety violations" 0
-    r.Shard_harness.agg.Harness.safety_violations;
+    r.Harness.safety_violations;
   Alcotest.(check int) "per-shard ops sum to total" total
-    (Array.fold_left ( + ) 0 r.Shard_harness.per_shard_ops);
-  Alcotest.(check int) "4 shards" 4 r.Shard_harness.shards;
-  Alcotest.(check bool) "well formed" true r.Shard_harness.map_well_formed;
+    (Array.fold_left ( + ) 0 r.Harness.per_shard_ops);
+  Alcotest.(check int) "4 shards" 4 r.Harness.shards;
+  Alcotest.(check bool) "well formed" true r.Harness.map_well_formed;
   (* Every shard of a 64-key hash map should see some traffic. *)
   Array.iter
     (fun ops -> Alcotest.(check bool) "every shard served ops" true (ops > 0))
-    r.Shard_harness.per_shard_ops;
-  let violations = Consistency.check r.Shard_harness.agg.Harness.spans in
+    r.Harness.per_shard_ops;
+  let violations = Consistency.check r.Harness.spans in
   Alcotest.(check int) "trace checker clean" 0
     (List.length violations.Consistency.violations)
 
 let test_sharded_deterministic () =
   let run () =
     Batching.fingerprint
-      (Shard_harness.run (sharded ~shards:4 (base_scenario ~seed:5 ())))
-        .Shard_harness.agg
+      (Harness.run (sharded ~shards:4 (base_scenario ~seed:5 ())))
   in
   Alcotest.(check string) "same seed, same sharded run" (run ()) (run ())
 
 let test_sharded_range_strategy () =
   let base = base_scenario ~clients:3 ~ops:25 ~key_space:40 () in
-  let r = Shard_harness.run (sharded ~shards:4 ~strategy:Shard_map.Range base) in
+  let r = Harness.run (sharded ~shards:4 ~strategy:Shard_map.Range base) in
   Alcotest.(check int) "all ops complete" (3 * 25)
-    (Harness.completed r.Shard_harness.agg);
-  Alcotest.(check bool) "well formed" true r.Shard_harness.map_well_formed;
-  Alcotest.(check int) "10 keys per shard" 10 r.Shard_harness.per_shard_keys.(0)
+    (Harness.completed r);
+  Alcotest.(check bool) "well formed" true r.Harness.map_well_formed;
+  Alcotest.(check int) "10 keys per shard" 10 r.Harness.per_shard_keys.(0)
 
 let test_sharded_crash_one_shard () =
   (* Blackout one shard's replicas mid-run: its ops fail or retry, other
@@ -129,68 +129,152 @@ let test_sharded_crash_one_shard () =
     List.map (fun s -> { Failure.time = 20.0; event = Failure.Crash s }) down
     @ List.map (fun s -> { Failure.time = 80.0; event = Failure.Recover s }) down
   in
-  let sc =
-    { (sharded ~shards:4 base) with shard_failures = [ (2, entries) ] }
+  let r =
+    Harness.run (sharded ~shards:4 ~shard_failures:[ (2, entries) ] base)
   in
-  let r = Shard_harness.run sc in
   Alcotest.(check int) "no safety violations" 0
-    r.Shard_harness.agg.Harness.safety_violations;
-  let violations = Consistency.check r.Shard_harness.agg.Harness.spans in
+    r.Harness.safety_violations;
+  let violations = Consistency.check r.Harness.spans in
   Alcotest.(check int) "trace checker clean" 0
     (List.length violations.Consistency.violations);
   Alcotest.(check bool) "some ops completed" true
-    (Harness.completed r.Shard_harness.agg > 0)
+    (Harness.completed r > 0)
 
 (* --- online split/merge -------------------------------------------------- *)
 
 let test_online_split_and_merge () =
   let base = base_scenario ~clients:4 ~ops:60 ~key_space:48 () in
-  let sc =
-    {
-      (sharded ~shards:4 base) with
-      reconfig =
-        [
-          { Shard_harness.at = 30.0; action = Shard_harness.Split 1 };
-          {
-            Shard_harness.at = 90.0;
-            action = Shard_harness.Merge { into = 0; from_ = 3 };
-          };
-        ];
-    }
+  let reconfig =
+    [
+      { Harness.at = 30.0; action = Harness.Split 1 };
+      { Harness.at = 90.0; action = Harness.Merge { into = 0; from_ = 3 } };
+    ]
   in
-  let r = Shard_harness.run sc in
-  Alcotest.(check int) "split happened" 1 r.Shard_harness.splits;
-  Alcotest.(check int) "merge happened" 1 r.Shard_harness.merges;
-  Alcotest.(check int) "5 shard ids allocated" 5 r.Shard_harness.shards;
+  let r = Harness.run (sharded ~shards:4 ~reconfig base) in
+  Alcotest.(check int) "split happened" 1 r.Harness.splits;
+  Alcotest.(check int) "merge happened" 1 r.Harness.merges;
+  Alcotest.(check int) "5 shard ids allocated" 5 r.Harness.shards;
   Alcotest.(check (list int)) "active shards: 3 merged away, 4 split in"
-    [ 0; 1; 2; 4 ] r.Shard_harness.active_shards;
-  Alcotest.(check bool) "map stays well-formed" true r.Shard_harness.map_well_formed;
-  Alcotest.(check bool) "keys migrated" true (r.Shard_harness.migrated_keys > 0);
-  Alcotest.(check int) "no migration failures" 0 r.Shard_harness.migration_failures;
+    [ 0; 1; 2; 4 ] r.Harness.active_shards;
+  Alcotest.(check bool) "map stays well-formed" true r.Harness.map_well_formed;
+  Alcotest.(check bool) "keys migrated" true (r.Harness.migrated_keys > 0);
+  Alcotest.(check int) "no migration failures" 0 r.Harness.migration_failures;
   Alcotest.(check int) "all ops complete" (4 * 60)
-    (Harness.completed r.Shard_harness.agg);
+    (Harness.completed r);
   Alcotest.(check int) "no safety violations" 0
-    r.Shard_harness.agg.Harness.safety_violations;
-  let violations = Consistency.check r.Shard_harness.agg.Harness.spans in
+    r.Harness.safety_violations;
+  let violations = Consistency.check r.Harness.spans in
   Alcotest.(check int) "trace checker clean across resharding" 0
     (List.length violations.Consistency.violations);
   (* The split target must end up owning keys and serving traffic. *)
   Alcotest.(check bool) "split target owns keys" true
-    (r.Shard_harness.per_shard_keys.(4) > 0);
+    (r.Harness.per_shard_keys.(4) > 0);
   Alcotest.(check int) "merged-away shard owns nothing" 0
-    r.Shard_harness.per_shard_keys.(3)
+    r.Harness.per_shard_keys.(3)
 
 let test_reconfig_requires_locks () =
   let base = { (base_scenario ()) with use_locks = false } in
   let sc =
-    {
-      (sharded ~shards:2 base) with
-      reconfig = [ { Shard_harness.at = 10.0; action = Shard_harness.Split 0 } ];
-    }
+    sharded ~shards:2
+      ~reconfig:[ { Harness.at = 10.0; action = Harness.Split 0 } ]
+      base
   in
   Alcotest.check_raises "reconfig without locks rejected"
-    (Invalid_argument "Shard_harness.run: reconfiguration requires use_locks")
-    (fun () -> ignore (Shard_harness.run sc))
+    (Invalid_argument "Harness.run: reconfiguration requires use_locks")
+    (fun () -> ignore (Harness.run sc))
+
+(* Regression: per-shard sub-batches of one window turn into single-key
+   locked operations, and two of them on one key from the same client used
+   to share a lock owner and raise [Invalid_argument]. *)
+let test_sharded_batched_locked () =
+  let base =
+    {
+      (base_scenario ~clients:2 ~ops:20 ~key_space:8 ~seed:3 ()) with
+      batching =
+        Some { Harness.batch_size = 4; group_commit = false; pipeline = 1 };
+    }
+  in
+  let r = Harness.run (sharded ~shards:2 base) in
+  Alcotest.(check int) "all ops complete" 40 (Harness.completed r);
+  Alcotest.(check int) "no safety violations" 0 r.Harness.safety_violations
+
+(* --- knob combinations ---------------------------------------------------- *)
+
+type combo = {
+  c_seed : int;
+  c_shards : int;
+  c_batched : bool;
+  c_amnesia : bool;
+  c_locks : bool;
+}
+
+let combo_gen =
+  QCheck.Gen.(
+    let* c_seed = int_range 1 10_000 in
+    let* c_shards = oneofl [ 1; 2; 4 ] in
+    let* c_batched = bool in
+    let* c_amnesia = bool in
+    let* c_locks = bool in
+    return { c_seed; c_shards; c_batched; c_amnesia; c_locks })
+
+let print_combo c =
+  Printf.sprintf "seed=%d shards=%d batched=%b amnesia=%b locks=%b" c.c_seed
+    c.c_shards c.c_batched c.c_amnesia c.c_locks
+
+(* Every combination of shard count, batching, crash mode and locking
+   under a per-shard crash/recover schedule: no freshness violation, no
+   offline regularity violation, no span left open, and every issued
+   operation accounted as completed or failed. *)
+let prop_combinations =
+  QCheck.Test.make ~name:"knob combinations stay safe and quiesce" ~count:100
+    (QCheck.make combo_gen ~print:print_combo)
+    (fun c ->
+      let clients = 3 and ops = 12 in
+      let entries shard =
+        Failure.random_crash_recovery
+          ~rng:(Rng.create (c.c_seed + shard))
+          ~n:8 ~horizon:200.0 ~mtbf:60.0 ~mttr:15.0
+      in
+      let base =
+        {
+          (base_scenario ~seed:c.c_seed ~clients ~ops ~key_space:16 ()) with
+          use_locks = c.c_locks;
+          failures = entries 0;
+          crash_mode =
+            (if c.c_amnesia then Network.Amnesia else Network.Fail_stop);
+          wal = Replication.Wal.Sync_on_commit;
+          batching =
+            (if c.c_batched then
+               Some
+                 { Harness.batch_size = 4; group_commit = true; pipeline = 2 }
+             else None);
+        }
+      in
+      let sc =
+        sharded ~shards:c.c_shards
+          ~shard_failures:
+            (List.init (c.c_shards - 1) (fun i -> (i + 1, entries (i + 1))))
+          base
+      in
+      let obs = Obs.create () in
+      let r = Harness.run ~obs sc in
+      let offline = Consistency.check r.Harness.spans in
+      let accounted =
+        r.Harness.reads_ok + r.Harness.reads_failed + r.Harness.writes_ok
+        + r.Harness.writes_failed
+      in
+      if r.Harness.safety_violations > 0 then
+        QCheck.Test.fail_reportf "%d freshness violations"
+          r.Harness.safety_violations;
+      if offline.Consistency.violations <> [] then
+        QCheck.Test.fail_reportf "%d offline violations"
+          (List.length offline.Consistency.violations);
+      if Obs.spans_open obs > 0 then
+        QCheck.Test.fail_reportf "%d spans open" (Obs.spans_open obs);
+      if accounted <> clients * ops then
+        QCheck.Test.fail_reportf "%d of %d ops accounted" accounted
+          (clients * ops);
+      true)
 
 let suite =
   [
@@ -206,4 +290,7 @@ let suite =
       test_sharded_crash_one_shard;
     Alcotest.test_case "online split and merge" `Quick test_online_split_and_merge;
     Alcotest.test_case "reconfig requires locks" `Quick test_reconfig_requires_locks;
+    Alcotest.test_case "sharded batched run with locks" `Quick
+      test_sharded_batched_locked;
+    QCheck_alcotest.to_alcotest prop_combinations;
   ]
