@@ -48,55 +48,10 @@ let fork t = create t.tree
    with bound = |candidates|, and skips the draw entirely for levels after
    the first empty one (reads) or when no level is fully alive (writes). *)
 
-let read_quorum ?(policy = Uniform) t ~alive ~rng =
-  let q = Bitset.create t.n in
-  let fast = Bitset.equal alive t.full in
-  let n_levels = Array.length t.replicas in
-  let rec go i =
-    if i = n_levels then Some q
-    else begin
-      let reps = t.replicas.(i) in
-      let site =
-        if fast then begin
-          match policy with
-          | First_alive -> reps.(0)
-          | Uniform -> reps.(Rng.int rng (Array.length reps))
-        end
-        else begin
-          let c = ref 0 in
-          for j = 0 to Array.length reps - 1 do
-            let s = Array.unsafe_get reps j in
-            if Bitset.mem alive s then begin
-              Array.unsafe_set t.scratch !c s;
-              incr c
-            end
-          done;
-          if !c = 0 then -1
-          else
-            match policy with
-            | First_alive -> t.scratch.(0)
-            | Uniform -> t.scratch.(Rng.int rng !c)
-        end
-      in
-      if site < 0 then None
-      else begin
-        Bitset.add q site;
-        go (i + 1)
-      end
-    end
-  in
-  go 0
-
-let n_levels t = Array.length t.replicas
-
-(* One level of [read_quorum], for tree-level pipelined reads: same
-   candidate filtering, same single bounded draw (bound = alive candidate
-   count), so a caller walking levels 0..n_levels-1 in order consumes the
-   RNG exactly as one [read_quorum] call would — stopping, like it, at
-   the first level with no alive candidate (returned as -1). *)
-let read_site ?(policy = Uniform) t ~alive ~rng ~level =
+(* The member of one level: [fast] when [alive] is the whole universe. *)
+let level_site t ~policy ~fast ~alive ~rng level =
   let reps = t.replicas.(level) in
-  if Bitset.equal alive t.full then begin
+  if fast then begin
     match policy with
     | First_alive -> reps.(0)
     | Uniform -> reps.(Rng.int rng (Array.length reps))
@@ -116,6 +71,33 @@ let read_site ?(policy = Uniform) t ~alive ~rng ~level =
       | First_alive -> t.scratch.(0)
       | Uniform -> t.scratch.(Rng.int rng !c)
   end
+
+(* A loop rather than a recursive local function: the closure would be
+   allocated on every call. *)
+let read_quorum ?(policy = Uniform) t ~alive ~rng =
+  let q = Bitset.create t.n in
+  let fast = Bitset.equal alive t.full in
+  let n_levels = Array.length t.replicas in
+  let level = ref 0 and failed = ref false in
+  while (not !failed) && !level < n_levels do
+    let site = level_site t ~policy ~fast ~alive ~rng !level in
+    if site < 0 then failed := true
+    else begin
+      Bitset.add q site;
+      incr level
+    end
+  done;
+  if !failed then None else Some q
+
+let n_levels t = Array.length t.replicas
+
+(* One level of [read_quorum], for tree-level pipelined reads: same
+   candidate filtering, same single bounded draw (bound = alive candidate
+   count), so a caller walking levels 0..n_levels-1 in order consumes the
+   RNG exactly as one [read_quorum] call would — stopping, like it, at
+   the first level with no alive candidate (returned as -1). *)
+let read_site ?(policy = Uniform) t ~alive ~rng ~level =
+  level_site t ~policy ~fast:(Bitset.equal alive t.full) ~alive ~rng level
 
 let write_quorum ?(policy = Uniform) t ~alive ~rng =
   let n_levels = Array.length t.replicas in

@@ -122,11 +122,17 @@ let record_ok t i =
     s.failures <- 0;
     s.current_cooldown <- t.config.cooldown
 
+(* Copy-on-write: the view's set is read-only (a cached oracle set is
+   shared by every later call), so the first Open site copies it. *)
 let filter t view =
+  let out = ref view in
   for i = 0 to Array.length t.sites - 1 do
-    if Bitset.mem view i && not (allowed t i) then Bitset.remove view i
+    if Bitset.mem view i && not (allowed t i) then begin
+      if !out == view then out := Bitset.copy view;
+      Bitset.remove !out i
+    end
   done;
-  view
+  !out
 
 let trips t = t.trips
 let probes t = t.probes

@@ -72,8 +72,9 @@ val record_ok : t -> int -> unit
     reply from before the trip must not un-trip it). *)
 
 val filter : t -> Dsutil.Bitset.t -> Dsutil.Bitset.t
-(** Remove every Open site from [view], in place, and return it.  Apply to
-    the believed-alive set just before quorum assembly. *)
+(** [view] without its Open sites.  [view] itself is never modified: it is
+    returned as is when no member is Open, else a copy is.  Apply to the
+    believed-alive set just before quorum assembly. *)
 
 val trips : t -> int
 (** Total Closed/Half_open → Open transitions. *)

@@ -28,6 +28,10 @@ val observe : t -> float -> unit
     ignored. *)
 
 val timeout : t -> float
-(** Current per-phase timeout. *)
+(** Current per-phase timeout: [initial] below [min_samples] (or with no
+    sample at all), else [multiplier] times the nearest-rank [quantile]
+    of every sample so far ({!Dsutil.Stats.percentile}'s rank), clamped
+    to [\[min_timeout, max_timeout\]].  O(1): the samples are kept
+    sorted as they arrive. *)
 
 val samples : t -> int

@@ -10,13 +10,17 @@ type t = {
 let make ~alive ?(observe = ignore) ?(suspect = ignore) () =
   { alive; observe; suspect }
 
+(* The set is rebuilt only when the network's topology generation moved
+   (a crash, recovery, partition or heal); in between every call returns
+   the same set. *)
 let oracle ~net ~self ~n =
+  let view = Bitset.create n and built = ref (-1) in
   let alive () =
-    let view = Bitset.create n in
-    for i = 0 to n - 1 do
-      if Network.is_up net i && Network.reachable net self i then
-        Bitset.add view i
-    done;
+    let g = Network.generation net in
+    if g <> !built then begin
+      Network.fill_reachable net ~self view;
+      built := g
+    end;
     view
   in
   { alive; observe = ignore; suspect = ignore }
@@ -26,4 +30,4 @@ let always_up ~n =
   for i = 0 to n - 1 do
     Bitset.add full i
   done;
-  { alive = (fun () -> Bitset.copy full); observe = ignore; suspect = ignore }
+  { alive = (fun () -> full); observe = ignore; suspect = ignore }

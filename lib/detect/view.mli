@@ -11,7 +11,11 @@
     Contract expected by consumers:
     - [alive ()] returns the current believed-up replica set; it may be
       stale or wrong — the protocol only loses liveness, never safety, on a
-      bad view.
+      bad view.  The set is {b read-only}: an implementation may return
+      the same set on every call and update it in place (the oracle and
+      [always_up] do), so a consumer that needs a different set copies
+      it first ({!Breaker.filter} does) and one that keeps it across
+      events reads the current belief, not a snapshot.
     - [observe src] is called on {e every} message received from [src];
       implementations must treat it as proof of life and rehabilitate any
       suspicion of [src].
@@ -35,8 +39,12 @@ val make :
 val oracle : net:'msg Dsim.Network.t -> self:int -> n:int -> t
 (** Ground truth from the simulator over the replica universe [0..n-1]
     (sites ≥ n are clients): up sites reachable from [self] (§2.2's
-    detectable-failures assumption).  Ignores evidence. *)
+    detectable-failures assumption).  Ignores evidence.  The set is
+    rebuilt from the network's alive bitset and partition groups only
+    when the topology changed ({!Dsim.Network.generation}); otherwise
+    [alive ()] returns the cached set and allocates nothing. *)
 
 val always_up : n:int -> t
 (** Believes every site is alive, always — the degenerate detector that
-    makes every failure a timeout.  Useful as an ablation baseline. *)
+    makes every failure a timeout.  Useful as an ablation baseline.
+    [alive ()] returns one shared full set. *)

@@ -170,7 +170,7 @@ let write_ts (r : kind Round.round) i =
   Timestamp.make ~version:r.ver.(i) ~sid:r.sid.(i)
 
 let finished t (r : kind Round.round) ok =
-  let elapsed = Round.now t.e -. r.started in
+  let elapsed = t.e.clock.now -. r.at.started in
   let read =
     match r.kind with Read_op _ | Read_batch_op _ -> true | _ -> false
   in

@@ -117,10 +117,10 @@ val op_id : t -> int
 (** Operation id the message belongs to; −1 for [Ping]/[Pong], which
     belong to no operation. *)
 
-val incarnation : t -> int option
+val incarnation : t -> int
 (** The sender incarnation stamped on replica replies ([Read_reply],
-    [Prepare_ack], [Commit_ack], [Read_batch_reply]); [None] on every
-    other message. *)
+    [Prepare_ack], [Commit_ack], [Read_batch_reply]), which is never
+    negative; [-1] on every other message. *)
 
 val batch_size : t -> int
 (** Logical operations the message carries: the batch length for the

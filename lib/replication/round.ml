@@ -23,6 +23,12 @@ let default_config =
 
 type phase = Query | Prepare | Commit | Staged
 
+(* A round's times live in a float-only record, stored flat: as fields of
+   the mixed round record below, every store would box a fresh float. *)
+type times = { mutable started : float; mutable phase_started : float }
+
+module Pending = Hashtbl.Make (Int)
+
 let phase_code = function Query -> 0 | Prepare -> 1 | Commit -> 2 | Staged -> 3
 
 (* A finished round goes back to the pool and is re-initialized in place:
@@ -39,8 +45,7 @@ type 'k round = {
   mutable last : phase;
   mutable phase : phase;
   mutable attempts : int;
-  mutable started : float;
-  mutable phase_started : float;
+  at : times;
   mutable n : int;
   mutable keys : int array;
   mutable ver : int array;
@@ -59,6 +64,7 @@ type 'k round = {
 type 'k t = {
   site : int;
   net : Message.t Network.t;
+  clock : Engine.clock;
   mutable proto : Protocol.t;
   n_replicas : int;
   prefix : string;
@@ -75,9 +81,9 @@ type 'k t = {
   mutable on_query : 'k round -> unit;
   mutable finished : 'k round -> bool -> unit;
   mutable next_seq : int;
-  pending : (int, 'k round) Hashtbl.t;
+  pending : 'k round Pending.t;
   mutable free : 'k round list;  (* pooled rounds *)
-  incs : (int, int) Hashtbl.t;
+  incs : int array;
   mutable handler : Engine.handler;
   mutable retries : int;
   mutable deadline_exceeded : int;
@@ -87,7 +93,7 @@ type 'k t = {
 }
 
 let engine t = Network.engine t.net
-let now t = Engine.now (engine t)
+let now t = t.clock.now
 
 (* The believed-alive replica view comes from the pluggable detector; the
    circuit breaker filters it: an Open site is alive but drowning, and
@@ -117,8 +123,7 @@ let make_round ~kind ~n_replicas ~cap =
     last = Query;
     phase = Query;
     attempts = 0;
-    started = 0.0;
-    phase_started = 0.0;
+    at = { started = 0.0; phase_started = 0.0 };
     n = 0;
     keys = Array.make cap 0;
     ver = Array.make cap 0;
@@ -150,7 +155,7 @@ let alloc t ~kind ~n ~last =
   r.kind <- kind;
   r.last <- last;
   r.attempts <- 0;
-  r.started <- now t;
+  r.at.started <- now t;
   r.n <- n;
   r
 
@@ -253,7 +258,8 @@ let blame_waiting t r ~charge_breaker =
 let arm t r =
   (* The handler captures only [t]; the op id and armed phase travel in the
      event's int slot, and the fire-time check drops events whose round
-     finished or moved on — arming a timeout allocates nothing. *)
+     finished or moved on — arming a fixed timeout allocates nothing
+     (an adaptive one is a fresh float box). *)
   Engine.schedule_packed (engine t) ~delay:(phase_timeout t) t.handler
     ~meta:((r.op lsl 2) lor phase_code r.phase)
     ~payload:(Obj.repr 0)
@@ -303,7 +309,7 @@ let send_commits t r =
   done
 
 let finish t r ok =
-  Hashtbl.remove t.pending r.op;
+  Pending.remove t.pending r.op;
   t.finished r ok;
   (* Pool the round only after the completion callback has run: anything
      it started took a different round, and nothing reaches this one
@@ -319,9 +325,9 @@ let finish t r ok =
 let rec start t r =
   r.op <- (t.next_seq * Network.size t.net) + t.site;
   t.next_seq <- t.next_seq + 1;
-  Hashtbl.replace t.pending r.op r;
+  Pending.replace t.pending r.op r;
   r.phase <- Query;
-  r.phase_started <- now t;
+  r.at.phase_started <- now t;
   r.n_q <- 0;
   r.waiting_n <- 0;
   r.n_w <- 0;
@@ -393,7 +399,7 @@ and prepare t r =
     r.n_q <- n;
     r.waiting_n <- n;
     r.phase <- Prepare;
-    r.phase_started <- now t;
+    r.at.phase_started <- now t;
     omark t r (Phase Obs.Span.Prepare);
     arm t r;
     fan_out t r (prepare_msg r)
@@ -425,7 +431,7 @@ and retry ?(timed_out = false) t r =
     send_commits t r
   end
   else begin
-    Hashtbl.remove t.pending r.op;
+    Pending.remove t.pending r.op;
     omark t r (End timed_out);
     (* Exponential backoff with jitter before re-assembling: an instant
        retry against the same failed view (e.g. during a partition) would
@@ -434,7 +440,7 @@ and retry ?(timed_out = false) t r =
     let delay =
       Detect.Backoff.delay t.config.backoff ~rng:t.rng ~attempt:r.attempts
     in
-    if now t +. delay >= r.started +. t.config.deadline then begin
+    if now t +. delay >= r.at.started +. t.config.deadline then begin
       t.deadline_exceeded <- t.deadline_exceeded + 1;
       ocount t ".deadline_exceeded";
       finish t r false
@@ -468,7 +474,7 @@ and abort t r =
 
 let commit t r =
   r.phase <- Commit;
-  r.phase_started <- now t;
+  r.at.phase_started <- now t;
   Array.blit r.w 0 r.q 0 r.n_w;
   r.n_q <- r.n_w;
   r.waiting_n <- r.n_w;
@@ -491,13 +497,13 @@ let prepared t r =
 
 (* The round parked under [op] by a successful prepare-only round. *)
 let staged t ~op =
-  match Hashtbl.find t.pending op with
+  match Pending.find t.pending op with
   | r when r.phase = Staged -> r
   | _ | (exception Not_found) ->
     invalid_arg "Round.staged: nothing staged under op"
 
 let discard t r =
-  Hashtbl.remove t.pending r.op;
+  Pending.remove t.pending r.op;
   release t r
 
 (* Index of [src] among the members still waiting in this phase, or -1.
@@ -508,12 +514,14 @@ let rec waiting_slot r ~src i =
   else if r.q.(i) = src then i
   else waiting_slot r ~src (i + 1)
 
-(* A waiting member answered: an RTT sample and good breaker evidence. *)
+(* A waiting member answered: good breaker evidence, and an RTT sample
+   when the timeout adapts (the only reader of the samples). *)
 let reply_received t r i ~src =
   if i >= 0 then begin
     r.q.(i) <- -1;
     r.waiting_n <- r.waiting_n - 1;
-    Detect.Rto.observe t.rto (now t -. r.phase_started);
+    if t.config.adaptive_timeout then
+      Detect.Rto.observe t.rto (now t -. r.at.phase_started);
     breaker_ok t src
   end
 
@@ -528,19 +536,18 @@ let note_read t r ~src ~slot ~version ~sid ~value =
 (* A reply stamped with an incarnation older than the newest one seen from
    its sender is evidence from a pre-crash life: the state it vouches for
    was (possibly) lost, so it must not complete a quorum.  Returns whether
-   the message should be dropped. *)
+   the message should be dropped.  Messages that carry no incarnation
+   ([-1]) always pass. *)
 let stale_incarnation t ~src msg =
-  match Message.incarnation msg with
-  | None -> false
-  | Some inc ->
-    let newest = try Hashtbl.find t.incs src with Not_found -> 0 in
-    if inc > newest then Hashtbl.replace t.incs src inc;
-    if inc < newest then begin
-      t.stale_inc_rejections <- t.stale_inc_rejections + 1;
-      ocount t ".stale_inc.rejected";
-      true
-    end
-    else false
+  let inc = Message.incarnation msg in
+  let newest = t.incs.(src) in
+  if inc > newest then t.incs.(src) <- inc;
+  if inc >= 0 && inc < newest then begin
+    t.stale_inc_rejections <- t.stale_inc_rejections + 1;
+    ocount t ".stale_inc.rejected";
+    true
+  end
+  else false
 
 let on_reply t r ~src (msg : Message.t) =
   let i = waiting_slot r ~src 0 in
@@ -594,12 +601,12 @@ let handle t ~src msg =
      detector views cover the replica universe, not client sites). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
   if not (stale_incarnation t ~src msg) then
-    match Hashtbl.find t.pending (Message.op_id msg) with
+    match Pending.find t.pending (Message.op_id msg) with
     | r -> on_reply t r ~src msg
     | exception Not_found -> ()
 
 let on_timeout t meta =
-  match Hashtbl.find t.pending (meta lsr 2) with
+  match Pending.find t.pending (meta lsr 2) with
   | exception Not_found -> ()
   | r ->
     if phase_code r.phase = meta land 3 && r.waiting_n > 0 then
@@ -612,6 +619,7 @@ let create ~site ~net ~proto ~prefix ~config ~view ?budget ?breaker ?obs
     {
       site;
       net;
+      clock = Engine.clock (Network.engine net);
       proto;
       n_replicas;
       prefix;
@@ -628,9 +636,9 @@ let create ~site ~net ~proto ~prefix ~config ~view ?budget ?breaker ?obs
       on_query = ignore;
       finished = (fun _ _ -> ());
       next_seq = 0;
-      pending = Hashtbl.create 16;
+      pending = Pending.create 16;
       free = [];
-      incs = Hashtbl.create 16;
+      incs = Array.make (Network.size net) 0;
       handler = Engine.handler (fun _ _ -> ());
       retries = 0;
       deadline_exceeded = 0;

@@ -56,6 +56,15 @@ type phase =
       (** a prepare-only round that succeeded: parked under its op id
           until the client commits or aborts it *)
 
+type times = {
+  mutable started : float;  (** round start: the deadline's origin *)
+  mutable phase_started : float;  (** when this phase's requests went out *)
+}
+(** A float-only record: its fields are stored flat, so stamping a round
+    allocates nothing. *)
+
+module Pending : Hashtbl.S with type key = int
+
 type 'k round = {
   mutable op : int;  (** the id of the current attempt *)
   mutable kind : 'k;  (** the client's meaning of the round *)
@@ -64,8 +73,7 @@ type 'k round = {
           round ([last = Prepare]) starts, and restarts, at prepare *)
   mutable phase : phase;
   mutable attempts : int;  (** retries so far, commit resends included *)
-  mutable started : float;  (** round start: the deadline's origin *)
-  mutable phase_started : float;  (** when this phase's requests went out *)
+  at : times;
   mutable n : int;  (** key slots in use *)
   mutable keys : int array;
   mutable ver : int array;
@@ -88,6 +96,8 @@ type 'k round = {
 type 'k t = {
   site : int;
   net : Message.t Dsim.Network.t;
+  clock : Dsim.Engine.clock;
+      (** the engine's, read in place ([Engine.now] boxes the time) *)
   mutable proto : Quorum.Protocol.t;
   n_replicas : int;
   prefix : string;  (** obs counter prefix: ["coord"] or ["rpc"] *)
@@ -109,9 +119,9 @@ type 'k t = {
       (** the round succeeded ([true]) or gave up; also called when a
           prepare-only round parks *)
   mutable next_seq : int;
-  pending : (int, 'k round) Hashtbl.t;
+  pending : 'k round Pending.t;  (** op id -> round in flight or parked *)
   mutable free : 'k round list;  (** pooled rounds *)
-  incs : (int, int) Hashtbl.t;  (** site -> newest incarnation seen *)
+  incs : int array;  (** newest incarnation seen, per network site *)
   mutable handler : Dsim.Engine.handler;  (** phase timeouts and restarts *)
   mutable retries : int;
   mutable deadline_exceeded : int;
@@ -136,8 +146,6 @@ val create :
   'k t
 (** Installs the engine as [site]'s message handler.  Set [on_query] and
     [finished] before starting a round. *)
-
-val now : 'k t -> float
 
 val current_view : 'k t -> Dsutil.Bitset.t
 (** The detector's believed-alive set, minus breaker-open sites. *)

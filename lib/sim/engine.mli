@@ -11,7 +11,14 @@ val create : ?seed:int -> unit -> t
 (** Default seed 42. *)
 
 val now : t -> float
-(** Current virtual time. *)
+(** Current virtual time.  The result is a fresh two-word box: hot paths
+    read {!clock} instead. *)
+
+type clock = Dsutil.Fheap.clock = private { mutable now : float }
+(** The engine's clock, read-only outside the engine.  A float-only
+    record: reading [(clock e).now] allocates nothing. *)
+
+val clock : t -> clock
 
 val rng : t -> Dsutil.Rng.t
 (** The engine's root random stream; [split] it per component. *)
@@ -27,9 +34,10 @@ type handler
 (** A preallocated event handler: [run meta payload] receives the int and
     payload passed to {!schedule_packed}.  Hot callers (message delivery,
     per-operation timeouts) build ONE handler up front and thread
-    per-event arguments through the two slots, so scheduling allocates
-    nothing — unlike {!schedule}, whose closure costs several words per
-    event. *)
+    per-event arguments through the two slots, so scheduling and running
+    the event allocate nothing when [delay] is a float the caller already
+    holds (a constant, a record field, its own argument) — unlike
+    {!schedule}, whose closure costs several words per event. *)
 
 val handler : (int -> Obj.t -> unit) -> handler
 

@@ -2,16 +2,21 @@ module Rng = Dsutil.Rng
 
 type t = Constant of float | Uniform of float * float | Exponential of float
 
-(* The exponential draw is written out inline: layering through
-   [Rng.exponential] and [Rng.uniform_in] costs a boxed float return per
-   call level on the per-message hot path.  The arithmetic is identical
-   ([Rng.float] then the same transform), so the draws are unchanged. *)
+(* The uniform and exponential draws are written out inline over
+   [Rng.bits53]: a float returned by [Rng.float] (or by [Rng.exponential]
+   and [Rng.uniform_in] above it) is boxed at every call level on the
+   per-message hot path, so only the sample itself is.  The arithmetic is
+   [Rng.float]'s, so the draws are bit-identical ([x *. 1.0 = x]). *)
+let unit_draw rng =
+  float_of_int (Rng.bits53 rng) /. 9007199254740992.0
+[@@inline]
+
 let sample t rng =
   match t with
   | Constant d -> d
-  | Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
+  | Uniform (lo, hi) -> lo +. (unit_draw rng *. (hi -. lo))
   | Exponential mean ->
-    let u = Rng.float rng 1.0 in
+    let u = unit_draw rng in
     let u = if u <= 0.0 then 1e-300 else u in
     (0.1 *. mean) +. (-.mean *. log u)
 

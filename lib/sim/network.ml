@@ -62,6 +62,7 @@ type 'msg t = {
   alive : Bitset.t;  (* mirrors [up], maintained by crash/recover, so
                         alive_view is a word blit, not an n-site loop *)
   group : int array;  (* partition group per site; all 0 when healed *)
+  mutable generation : int;  (* topology changes so far *)
   mutable mode : crash_mode;
   hooks : crash_hooks option array;
   services : 'msg service option array;
@@ -102,6 +103,7 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
        done;
        s);
     group = Array.make n 0;
+    generation = 0;
     mode = Fail_stop;
     hooks = Array.make n None;
     services = Array.make n None;
@@ -325,23 +327,28 @@ let send t ?(units = 1) ~src ~dst msg =
   else if t.loss_rate > 0.0 && Rng.bernoulli t.rng t.loss_rate then
     count_loss_drop t ~src ~dst
   else begin
-    let delay = Latency.sample t.latency t.rng in
-    let delay =
+    if t.deferred == uninit_deferred then init_deferred t;
+    let meta = (src lsl 20) lor dst and payload = Obj.repr msg in
+    if Array.length t.fifo_floor = 0 then
+      (* The sample's box goes to the engine as is: binding it next to the
+         FIFO arithmetic below would unbox it and box it again. *)
+      Engine.schedule_packed t.engine
+        ~delay:(Latency.sample t.latency t.rng)
+        t.deferred ~meta ~payload
+    else begin
       (* FIFO links: never deliver before an earlier message of the same
          (src, dst) pair. *)
-      if Array.length t.fifo_floor = 0 then delay
-      else begin
-        let idx = (src * t.n) + dst in
-        let at =
-          Float.max (Engine.now t.engine +. delay) (t.fifo_floor.(idx) +. 1e-9)
-        in
-        t.fifo_floor.(idx) <- at;
-        at -. Engine.now t.engine
-      end
-    in
-    if t.deferred == uninit_deferred then init_deferred t;
-    Engine.schedule_packed t.engine ~delay t.deferred
-      ~meta:((src lsl 20) lor dst) ~payload:(Obj.repr msg)
+      let now = (Engine.clock t.engine).now in
+      let idx = (src * t.n) + dst in
+      let at =
+        Float.max
+          (now +. Latency.sample t.latency t.rng)
+          (t.fifo_floor.(idx) +. 1e-9)
+      in
+      t.fifo_floor.(idx) <- at;
+      Engine.schedule_packed t.engine ~delay:(at -. now) t.deferred ~meta
+        ~payload
+    end
   end
 
 let broadcast t ~src ~dst msg = List.iter (fun d -> send t ~src ~dst:d msg) dst
@@ -405,6 +412,7 @@ let crash t i =
     emit t (Trace.Crash i);
     t.up.(i) <- false;
     Bitset.remove t.alive i;
+    t.generation <- t.generation + 1;
     (* Queued-but-unserved messages die with the site; the epoch bump
        invalidates any in-flight service-completion event. *)
     (match t.services.(i) with
@@ -429,6 +437,7 @@ let recover t i =
     emit t (Trace.Recover i);
     t.up.(i) <- true;
     Bitset.add t.alive i;
+    t.generation <- t.generation + 1;
     match t.hooks.(i) with Some h -> h.on_recover () | None -> ()
   end
 
@@ -439,6 +448,15 @@ let is_up t i =
 (* Copy rather than expose [t.alive]: callers (oracle detectors) may hold
    the snapshot across failure events or mutate it while planning. *)
 let alive_view t = Bitset.copy t.alive
+let generation t = t.generation
+
+let fill_reachable t ~self set =
+  check_site t self;
+  Bitset.blit ~src:t.alive ~dst:set;
+  let g = t.group.(self) in
+  for i = 0 to Bitset.capacity set - 1 do
+    if t.group.(i) <> g then Bitset.remove set i
+  done
 
 let partition t groups =
   emit t
@@ -447,6 +465,7 @@ let partition t groups =
           (List.map
              (fun g -> String.concat "," (List.map string_of_int g))
              groups)));
+  t.generation <- t.generation + 1;
   Array.fill t.group 0 t.n 0;
   List.iteri
     (fun g sites ->
@@ -459,6 +478,7 @@ let partition t groups =
 
 let heal t =
   emit t (Trace.Partition_change "healed");
+  t.generation <- t.generation + 1;
   Array.fill t.group 0 t.n 0
 
 let set_loss_rate t rate =

@@ -150,6 +150,17 @@ val alive_view : 'msg t -> Dsutil.Bitset.t
     {!recover}; each call returns a fresh copy the caller may keep or
     mutate freely. *)
 
+val generation : 'msg t -> int
+(** Topology changes so far: every up→down or down→up transition, every
+    {!partition} and every {!heal} adds one.  Equal generations mean equal
+    up sets and partition groups, so a view derived from them can be
+    cached per generation. *)
+
+val fill_reachable : 'msg t -> self:int -> Dsutil.Bitset.t -> unit
+(** [fill_reachable t ~self set] overwrites [set] with the up sites below
+    its capacity that share [self]'s partition group: the alive bitset,
+    word-copied, minus the other groups.  Allocates nothing. *)
+
 val partition : 'msg t -> int list list -> unit
 (** Splits the sites into the given groups; unlisted sites form one extra
     implicit group.  Messages across groups are dropped. *)

@@ -11,6 +11,16 @@ let create capacity =
 let capacity t = t.capacity
 let copy t = { capacity = t.capacity; words = Array.copy t.words }
 
+let blit ~src ~dst =
+  if dst.capacity > src.capacity then
+    invalid_arg "Bitset.blit: destination wider than source";
+  let nw = Array.length dst.words in
+  Array.blit src.words 0 dst.words 0 nw;
+  (* clear the source's members past the destination's capacity *)
+  let used = dst.capacity - ((nw - 1) * bits_per_word) in
+  if used < bits_per_word then
+    dst.words.(nw - 1) <- dst.words.(nw - 1) land ((1 lsl used) - 1)
+
 let check t i =
   if i < 0 || i >= t.capacity then
     invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.capacity)

@@ -11,6 +11,12 @@ val create : int -> t
 
 val capacity : t -> int
 val copy : t -> t
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst] with the members of [src] below [capacity dst], a
+    word copy that allocates nothing.  @raise Invalid_argument when [dst]
+    is wider than [src]. *)
+
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool

@@ -3,8 +3,8 @@
    in test/heap.ml as this module's equivalence oracle) stores one boxed
    record and one boxed float per entry; at millions of events per run
    that is the single largest allocation source in the simulator.  Here
-   keys live in a flat float array and payloads in plain arrays, so a
-   push allocates nothing (amortized: the arrays double).
+   keys live in a flat float array and payloads in plain arrays, so the
+   heap itself stores no box (amortized: the arrays double).
 
    Each entry carries a handler ['h], an int [meta] and a payload ['p]:
    the split lets callers schedule preallocated handlers with per-event
@@ -25,10 +25,18 @@
      the pointer arrays directly).
    - Without flambda a float crossing a function boundary is boxed, so
      each sift loads its key into locals and runs to completion in one
-     function body — the floats stay in registers.
+     function body — the floats stay in registers.  For the same reason
+     the event clock is a float-only record ([clock]) that the push reads
+     and the pop writes: [push_after] adds a caller's (already boxed)
+     delay to [clock.now] here, and [pop_run] stores the popped key into
+     [clock.now] instead of passing it on as an argument.  A float
+     argument or result computed on one side of a call and used on the
+     other costs a two-word box per event.
    - Array reads are bounds-checked, so the inner loops use unsafe
      accessors; every index is bounded by [size] (or comes off the free
      list), both bounded by the shared capacity. *)
+
+type clock = { mutable now : float }
 
 type ('h, 'p) t = {
   mutable times : float array;
@@ -122,7 +130,7 @@ let sift_up t i =
     Array.unsafe_set slots j slot
   end
 
-let push t time h meta p =
+let push_after t clock delay h meta p =
   if t.size = Array.length t.times then grow t;
   (* take a satellite slot and park the entry's cargo there *)
   t.free_n <- t.free_n - 1;
@@ -131,16 +139,17 @@ let push t time h meta p =
   t.metas.(slot) <- meta;
   t.ps.(slot) <- p;
   let i = t.size in
-  t.times.(i) <- time;
+  t.times.(i) <- clock.now +. delay;
   t.seqs.(i) <- t.next_seq;
   t.slots.(i) <- slot;
   t.next_seq <- t.next_seq + 1;
   t.size <- i + 1;
   sift_up t i
 
-let min_key t =
-  if t.size = 0 then invalid_arg "Fheap.min_key: empty heap"
-  else t.times.(0)
+(* An absolute key is a delay from a clock stopped at 0: [0.0 +. time] is
+   [time] (up to the sign of a zero, which orders the same). *)
+let origin = { now = 0.0 }
+let push t time h meta p = push_after t origin time h meta p
 
 (* Hole sift-down from the root of the entry currently stored at the
    root heap index. *)
@@ -186,12 +195,12 @@ let sift_down_root t =
     Array.unsafe_set slots j slot
   end
 
-(* Pop the minimum and hand (time, handler, meta, payload) to [f] — no
-   option, no pair. *)
-let pop_apply t f =
+(* Pop the minimum, write its key to [clock], and hand (handler, meta,
+   payload) to [f] — no option, no pair, no float argument. *)
+let pop_run t clock f =
   if t.size = 0 then false
   else begin
-    let time = t.times.(0) in
+    clock.now <- t.times.(0);
     let slot = t.slots.(0) in
     let h = t.hs.(slot)
     and meta = t.metas.(slot)
@@ -209,9 +218,15 @@ let pop_apply t f =
       t.slots.(0) <- t.slots.(n);
       sift_down_root t
     end;
-    f time h meta p;
+    f h meta p;
     true
   end
+
+let pop_apply t f =
+  let popped = { now = 0.0 } in
+  pop_run t popped (fun h meta p -> f popped.now h meta p)
+
+let due t limit = t.size > 0 && t.times.(0) <= limit
 
 let clear t =
   for i = 0 to t.size - 1 do

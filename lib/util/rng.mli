@@ -24,7 +24,14 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
 val float : t -> float -> float
-(** [float t bound] is uniform in [\[0, bound)]. *)
+(** [float t bound] is uniform in [\[0, bound)]: [bits53] scaled by
+    [bound /. 2{^53}]. *)
+
+val bits53 : t -> int
+(** The next 53 random bits, uniform in [\[0, 2{^53})] — the draw behind
+    [float], as an int.  A caller converting it in its own body
+    ([float_of_int v /. 9007199254740992.0 *. bound]) gets [float]'s exact
+    result without the boxed float a call returns. *)
 
 val bool : t -> bool
 

@@ -65,16 +65,18 @@ let sorted_samples t =
     t.sorted <- Some a;
     a
 
+(* Nearest-rank; q = 0.0 maps straight to the minimum instead of
+   computing the out-of-range rank -1 first. *)
+let nearest_rank ~count q =
+  let idx =
+    if q = 0.0 then 0 else int_of_float (ceil (q *. float_of_int count)) - 1
+  in
+  min (count - 1) idx
+
 let percentile t q =
   if t.n = 0 then invalid_arg "Stats.percentile: empty";
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.percentile: q out of range";
-  let a = sorted_samples t in
-  (* Nearest-rank; q = 0.0 maps straight to the minimum instead of
-     computing the out-of-range rank -1 first. *)
-  let idx =
-    if q = 0.0 then 0 else int_of_float (ceil (q *. float_of_int t.n)) - 1
-  in
-  a.(min (t.n - 1) idx)
+  (sorted_samples t).(nearest_rank ~count:t.n q)
 
 let ci95 t =
   if t.n < 2 then 0.0 else 1.96 *. stddev t /. sqrt (float_of_int t.n)

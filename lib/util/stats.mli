@@ -27,6 +27,10 @@ val percentile : t -> float -> float
     samples ([q = 0.0] is the minimum, [q = 1.0] the maximum).  Raises
     [Invalid_argument] on an empty accumulator. *)
 
+val nearest_rank : count:int -> float -> int
+(** The 0-based index {!percentile} reads for quantile [q] among [count]
+    sorted samples ([count >= 1], [q] in [\[0,1\]]). *)
+
 val ci95 : t -> float
 (** Half-width of the normal-approximation 95% confidence interval of the
     mean. *)

@@ -1,0 +1,146 @@
+(* Allocation budgets of the dispatch path, in minor-heap words.
+   [Gc.minor_words] counts words, not time, so for a given compiler the
+   figures are exact and machine-independent.  Each probe warms its world
+   first (heap and table growth, round pools, plan caches), then measures
+   many iterations and divides. *)
+
+module Engine = Dsim.Engine
+module Network = Dsim.Network
+module Bitset = Dsutil.Bitset
+module Coordinator = Replication.Coordinator
+module Replica = Replication.Replica
+module View = Detect.View
+
+(* Minor words per call of [f], over [iters] calls. *)
+let words_per ~iters f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* A budget of 0 tolerates a sub-word average: a stray constant (the
+   probe's own bookkeeping) spread over thousands of iterations. *)
+let check_budget name ~budget words =
+  if words > budget +. 0.05 then
+    Alcotest.failf "%s: %.2f words per call, budget %.0f" name words budget
+
+let test_engine_event () =
+  let e = Engine.create ~seed:1 () in
+  let fired = ref 0 in
+  let h = Engine.handler (fun meta _ -> fired := !fired + meta) in
+  let payload = Obj.repr 0 in
+  let event () =
+    Engine.schedule_packed e ~delay:1.5 h ~meta:1 ~payload;
+    ignore (Engine.step e)
+  in
+  for _ = 1 to 64 do
+    event ()
+  done;
+  check_budget "schedule_packed + step" ~budget:0.0
+    (words_per ~iters:10_000 event);
+  Alcotest.(check int) "every event ran" 10_064 !fired
+
+(* A seeded [n]-site network with the default latency model. *)
+let network ~n =
+  let engine = Engine.create ~seed:1 () in
+  (engine, Network.create ~engine ~n ())
+
+let test_network_send () =
+  let engine, net = network ~n:2 in
+  let got = ref 0 in
+  Network.set_handler net ~site:1 (fun ~src:_ msg -> got := !got + msg);
+  let msg = 1 in
+  let send () =
+    Network.send net ~src:0 ~dst:1 msg;
+    while Engine.step engine do
+      ()
+    done
+  in
+  for _ = 1 to 64 do
+    send ()
+  done;
+  (* The sampled delay is boxed once on its way from the latency model to
+     the engine: two words. *)
+  check_budget "send -> deliver" ~budget:2.0 (words_per ~iters:10_000 send);
+  Alcotest.(check int) "every message delivered" 10_064 !got
+
+let test_oracle_view_cached () =
+  let _, net = network ~n:9 in
+  let v = View.oracle ~net ~self:8 ~n:8 in
+  ignore (v.View.alive ());
+  check_budget "oracle alive ()" ~budget:0.0
+    (words_per ~iters:10_000 (fun () -> ignore (v.View.alive ())))
+
+(* The cached set follows every topology change. *)
+let test_oracle_view_rebuilt () =
+  let _, net = network ~n:5 in
+  let v = View.oracle ~net ~self:4 ~n:4 in
+  let alive () = Bitset.elements (v.View.alive ()) in
+  let check what expected =
+    Alcotest.(check (list int)) what expected (alive ())
+  in
+  check "initially" [ 0; 1; 2; 3 ];
+  Network.crash net 2;
+  check "after crash" [ 0; 1; 3 ];
+  Network.crash net 2;
+  check "redundant crash" [ 0; 1; 3 ];
+  Network.recover net 2;
+  check "after recover" [ 0; 1; 2; 3 ];
+  Network.partition net [ [ 0; 1 ] ];
+  check "after partition" [ 2; 3 ];
+  Network.partition net [ [ 0; 1; 4 ] ];
+  check "after repartition" [ 0; 1 ];
+  Network.crash net 0;
+  check "crash inside the partition" [ 1 ];
+  Network.heal net;
+  check "after heal" [ 1; 2; 3 ];
+  Network.recover net 0;
+  check "after the last recover" [ 0; 1; 2; 3 ]
+
+(* ARBITRARY n = 65 with the default coordinator (oracle view, fixed
+   timeout, no locks, no spans), failure-free: the read-mostly benchmark's
+   store. *)
+let test_coordinator_ops () =
+  let tree = Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:65 in
+  let proto = Arbitrary.Quorums.protocol tree in
+  let n = Arbitrary.Tree.n tree in
+  let engine = Engine.create ~seed:1 () in
+  let net = Network.create ~engine ~n:(n + 1) () in
+  let _replicas = Array.init n (fun site -> Replica.create ~site ~net ()) in
+  let coord = Coordinator.create ~site:n ~net ~proto () in
+  let ok = ref 0 in
+  let value = "v" in
+  let write key () =
+    Coordinator.write coord ~key ~value (function
+      | Some _ -> incr ok
+      | None -> ());
+    Engine.run engine
+  in
+  let read key () =
+    Coordinator.read coord ~key (function Some _ -> incr ok | None -> ());
+    Engine.run engine
+  in
+  for key = 0 to 7 do
+    write key ();
+    read key ()
+  done;
+  let rd = words_per ~iters:2_000 (read 3) in
+  let wr = words_per ~iters:1_000 (write 5) in
+  Alcotest.(check int) "every op succeeded" 3_016 !ok;
+  check_budget "warm read" ~budget:160.0 rd;
+  check_budget "warm write" ~budget:400.0 wr
+
+let suite =
+  [
+    Alcotest.test_case "engine event allocates nothing" `Quick
+      test_engine_event;
+    Alcotest.test_case "network send -> deliver within 2 words" `Quick
+      test_network_send;
+    Alcotest.test_case "oracle view allocates nothing when unchanged" `Quick
+      test_oracle_view_cached;
+    Alcotest.test_case "oracle view follows every topology change" `Quick
+      test_oracle_view_rebuilt;
+    Alcotest.test_case "warm read and write within budget" `Quick
+      test_coordinator_ops;
+  ]

@@ -65,6 +65,23 @@ let test_copy_independent () =
   Alcotest.(check bool) "equal to self" true (Bitset.equal a a);
   Alcotest.(check bool) "not equal after change" false (Bitset.equal a b)
 
+(* [blit] keeps the source's members below the destination's capacity,
+   across word boundaries (63 bits per word), and nothing above it. *)
+let test_blit_prefix () =
+  let src = Bitset.of_list 130 [ 0; 5; 62; 63; 64; 125; 126; 129 ] in
+  List.iter
+    (fun cap ->
+      let dst = Bitset.of_list cap (List.init cap Fun.id) in
+      Bitset.blit ~src ~dst;
+      Alcotest.(check (list int))
+        (Printf.sprintf "capacity %d" cap)
+        (List.filter (fun i -> i < cap) (Bitset.elements src))
+        (Bitset.elements dst))
+    [ 0; 1; 62; 63; 64; 126; 127; 130 ];
+  Alcotest.check_raises "wider destination"
+    (Invalid_argument "Bitset.blit: destination wider than source") (fun () ->
+      Bitset.blit ~src ~dst:(Bitset.create 131))
+
 let test_clear () =
   let s = Bitset.of_list 10 [ 1; 2; 3 ] in
   Bitset.clear s;
@@ -104,6 +121,7 @@ let suite =
     Alcotest.test_case "iter/fold/elements" `Quick test_iter_fold_elements;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "blit copies a prefix" `Quick test_blit_prefix;
     QCheck_alcotest.to_alcotest prop_union_cardinal;
     QCheck_alcotest.to_alcotest prop_diff_disjoint;
     QCheck_alcotest.to_alcotest prop_elements_roundtrip;

@@ -10,6 +10,7 @@ module Heartbeat = Detect.Heartbeat
 module View = Detect.View
 module Engine = Dsim.Engine
 module Network = Dsim.Network
+module Stats = Dsutil.Stats
 module Bitset = Dsutil.Bitset
 module Rng = Dsutil.Rng
 
@@ -129,6 +130,39 @@ let test_rto_ignores_garbage () =
   Rto.observe rto (-5.0);
   Rto.observe rto 0.0;
   Alcotest.(check int) "non-positive samples dropped" 0 (Rto.samples rto)
+
+(* The sorted-on-arrival estimator answers exactly what the nearest-rank
+   [Stats.percentile] of the same samples gives, after every sample. *)
+let prop_rto_matches_percentile =
+  QCheck.Test.make ~name:"rto: timeout = clamped Stats.percentile" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 60) (float_range (-1.0) 50.0))
+        (int_range 0 100) (int_range 0 10))
+    (fun (rtts, q100, min_samples) ->
+      let config =
+        {
+          Rto.default_config with
+          Rto.quantile = float_of_int q100 /. 100.0;
+          min_samples;
+        }
+      in
+      let rto = Rto.create ~config () and stats = Stats.create () in
+      List.for_all
+        (fun rtt ->
+          Rto.observe rto rtt;
+          if rtt > 0.0 then Stats.add stats rtt;
+          let n = Stats.count stats in
+          let expected =
+            if n < min_samples || n = 0 then config.Rto.initial
+            else
+              Float.min config.Rto.max_timeout
+                (Float.max config.Rto.min_timeout
+                   (config.Rto.multiplier
+                   *. Stats.percentile stats config.Rto.quantile))
+          in
+          Rto.samples rto = n && Rto.timeout rto = expected)
+        rtts)
 
 (* -- Backoff ------------------------------------------------------------ *)
 
@@ -299,14 +333,20 @@ let test_breaker_filter () =
   let filtered = Breaker.filter b view in
   Alcotest.(check (list int)) "open sites removed" [ 0; 2 ]
     (Bitset.elements filtered);
+  (* The input set is read-only (a cached oracle set is shared): the
+     filter copies it rather than remove sites in place. *)
+  Alcotest.(check (list int)) "input set unchanged" [ 0; 1; 2; 3 ]
+    (Bitset.elements view);
   (* After cooldown the half-open sites re-enter the view as probes. *)
   at := 1e9;
   let view2 = Bitset.create 4 in
   for i = 0 to 3 do
     Bitset.add view2 i
   done;
-  Alcotest.(check int) "half-open sites restored" 4
-    (Bitset.cardinal (Breaker.filter b view2))
+  let restored = Breaker.filter b view2 in
+  Alcotest.(check int) "half-open sites restored" 4 (Bitset.cardinal restored);
+  Alcotest.(check bool) "nothing removed: the input set itself" true
+    (restored == view2)
 
 (* Regression: read-only inspection must never commit state transitions.
    [open_sites] and [state] used to route through the mutating accessor,
@@ -519,6 +559,7 @@ let suite =
     Alcotest.test_case "rto: clamped to band" `Quick test_rto_clamps;
     Alcotest.test_case "rto: non-positive samples dropped" `Quick
       test_rto_ignores_garbage;
+    QCheck_alcotest.to_alcotest prop_rto_matches_percentile;
     Alcotest.test_case "backoff: geometric growth, capped" `Quick
       test_backoff_growth;
     Alcotest.test_case "backoff: jitter stays in bounds" `Quick

@@ -145,7 +145,9 @@ let test_large_random () =
    [Heap.create ~compare:Float.compare]: (time, insertion seq) is a
    strict total order, so arity and layout cannot matter.  Drive both
    through the same randomized push/pop stream — a coarse key grid forces
-   plenty of ties, so FIFO tie-breaking is what's really under test. *)
+   plenty of ties, so FIFO tie-breaking is what's really under test.
+   Pushes alternate between absolute keys and delays from a clock, pops
+   between [pop_apply] and [pop_run] writing that clock. *)
 let test_fheap_matches_generic_heap () =
   let module Fheap = Dsutil.Fheap in
   let rng = Dsutil.Rng.create 4242 in
@@ -153,18 +155,29 @@ let test_fheap_matches_generic_heap () =
   let h = Heap.create ~compare:Float.compare in
   let next_id = ref 0 in
   let popped = ref 0 in
+  let clock = { Fheap.now = 10.0 } in
   let check_pop () =
     match Heap.pop h with
     | None -> Alcotest.(check bool) "both empty" true (Fheap.is_empty fh)
     | Some (k, id) ->
       incr popped;
+      let check_entry handler meta payload =
+        Alcotest.(check int) "same entry" id meta;
+        Alcotest.(check int) "handler rides along" id handler;
+        Alcotest.(check string) "payload rides along" (string_of_int id)
+          payload
+      in
       let got =
-        Fheap.pop_apply fh (fun time handler meta payload ->
-            Alcotest.(check (float 0.0)) "same key" k time;
-            Alcotest.(check int) "same entry" id meta;
-            Alcotest.(check int) "handler rides along" id handler;
-            Alcotest.(check string) "payload rides along" (string_of_int id)
-              payload)
+        if id land 1 = 0 then
+          Fheap.pop_apply fh (fun time handler meta payload ->
+              Alcotest.(check (float 0.0)) "same key" k time;
+              check_entry handler meta payload)
+        else begin
+          let got = Fheap.pop_run fh clock check_entry in
+          Alcotest.(check (float 0.0)) "clock set to the key" k clock.now;
+          clock.now <- 10.0;
+          got
+        end
       in
       Alcotest.(check bool) "flat heap not empty" true got
   in
@@ -177,13 +190,19 @@ let test_fheap_matches_generic_heap () =
         let id = !next_id in
         incr next_id;
         Heap.push h k id;
-        Fheap.push fh k id id (string_of_int id)
+        if id mod 3 = 0 then Fheap.push fh k id id (string_of_int id)
+        else Fheap.push_after fh clock (k -. 10.0) id id (string_of_int id)
       end
     done;
     Alcotest.(check int) "same length" (Heap.length h) (Fheap.length fh);
-    if not (Heap.is_empty h) then
-      Alcotest.(check (float 0.0)) "same min key" (Heap.min_key h)
-        (Fheap.min_key fh)
+    if Heap.is_empty h then
+      Alcotest.(check bool) "nothing due" false (Fheap.due fh infinity)
+    else begin
+      let m = Heap.min_key h in
+      Alcotest.(check bool) "due at the min key" true (Fheap.due fh m);
+      Alcotest.(check bool) "not due before it" false
+        (Fheap.due fh (Float.pred m))
+    end
   done;
   while not (Heap.is_empty h) do
     check_pop ()

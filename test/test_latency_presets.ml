@@ -84,8 +84,34 @@ let test_read_only_preset_generates_no_writes () =
     | Workload.Generator.Write _ -> Alcotest.fail "read-only preset wrote"
   done
 
+(* [sample] draws [Rng.bits53] and converts it in its own body; the
+   draws must stay bit-identical to the [Rng.float] formulation they
+   replaced, or every seeded simulation would move. *)
+let test_sample_matches_rng_float () =
+  let reference model rng =
+    match model with
+    | Latency.Constant d -> d
+    | Latency.Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
+    | Latency.Exponential mean ->
+      let u = Rng.float rng 1.0 in
+      let u = if u <= 0.0 then 1e-300 else u in
+      (0.1 *. mean) +. (-.mean *. log u)
+  in
+  List.iter
+    (fun model ->
+      let a = Rng.create 9 and b = Rng.create 9 in
+      for _ = 1 to 10_000 do
+        let x = Latency.sample model a and y = reference model b in
+        if Int64.bits_of_float x <> Int64.bits_of_float y then
+          Alcotest.failf "%a: %h <> %h" Latency.pp model x y
+      done)
+    [ Latency.Uniform (0.5, 7.25); Latency.Exponential 1.0;
+      Latency.Exponential 3.7 ]
+
 let suite =
   [
+    Alcotest.test_case "sample is bit-identical to Rng.float" `Quick
+      test_sample_matches_rng_float;
     Alcotest.test_case "constant latency" `Quick test_constant;
     Alcotest.test_case "uniform latency bounds" `Quick test_uniform_bounds;
     Alcotest.test_case "exponential latency" `Quick test_exponential_positive_mean;

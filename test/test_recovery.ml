@@ -184,7 +184,7 @@ let test_replies_carry_incarnation () =
   Engine.run ctx.engine;
   match !replies with
   | [ (Message.Read_reply _ as m) ] ->
-    Alcotest.(check (option int)) "stamped with incarnation 1" (Some 1)
+    Alcotest.(check int) "stamped with incarnation 1" 1
       (Message.incarnation m)
   | _ -> Alcotest.fail "expected exactly one read reply"
 
