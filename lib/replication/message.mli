@@ -122,9 +122,4 @@ val incarnation : t -> int
     [Prepare_ack], [Commit_ack], [Read_batch_reply]), which is never
     negative; [-1] on every other message. *)
 
-val batch_size : t -> int
-(** Logical operations the message carries: the batch length for the
-    coalesced envelopes (an O(1) field read, not a list walk), 1 for
-    everything else.  Feeds the network's [?units] accounting. *)
-
 val pp : Format.formatter -> t -> unit

@@ -174,18 +174,10 @@ let ohist t name v =
   | None -> ()
   | Some obs -> Obs.Metrics.observe (Obs.Metrics.histogram (Obs.metrics obs) name) v
 
-let wal_append t record =
-  match t.wal with None -> () | Some wal -> Wal.append wal record
-
-(* A batch's log records share one durability point under group commit;
-   without it they are appended (and synced) one by one, exactly as if
-   the operations had arrived unbatched. *)
-let wal_append_many t records =
+let wal_install t ~key ~version ~sid ~value =
   match t.wal with
+  | Some wal -> Wal.install wal ~key ~version ~sid ~value
   | None -> ()
-  | Some wal ->
-    if t.group_commit then Wal.append_batch wal records
-    else List.iter (Wal.append wal) records
 
 let send t ?units ~dst msg = Network.send t.net ?units ~src:t.site ~dst msg
 
@@ -290,7 +282,8 @@ let catchup_gather_reply t g ~src ~ts ~value =
         not (Timestamp.equal g.g_max_ts Timestamp.zero)
         && Store.install t.store ~key:g.g_key ~ts:g.g_max_ts ~value:g.g_max_value
       then begin
-        wal_append t (Wal.Install { key = g.g_key; ts = g.g_max_ts; value = g.g_max_value });
+        wal_install t ~key:g.g_key ~version:g.g_max_ts.version
+          ~sid:g.g_max_ts.sid ~value:g.g_max_value;
         t.catchup_keys_installed <- t.catchup_keys_installed + 1;
         ocount t "replica.catchup.keys_installed"
       end;
@@ -344,21 +337,7 @@ let serve_tail t ~dst ~op ~from_index =
 let apply_tail_entries t entries =
   ignore (Store.import_chunk t.store entries);
   match t.wal with
-  | Some wal when Batch.length entries > 0 ->
-    let records = ref [] in
-    for i = Batch.length entries - 1 downto 0 do
-      records :=
-        Wal.Install
-          {
-            key = Batch.key entries i;
-            ts =
-              Timestamp.make ~version:(Batch.version entries i)
-                ~sid:(Batch.sid entries i);
-            value = Batch.value entries i;
-          }
-        :: !records
-    done;
-    Wal.append_batch wal !records
+  | Some wal when Batch.length entries > 0 -> Wal.install_batch wal entries
   | _ -> ()
 
 let prov_stale t =
@@ -461,20 +440,7 @@ let prov_chunk t p ~src ~chunk ~n_chunks ~wal_index ~dinc ~entries =
       (* the chunk's installs and the progress mark share one durability
          point: a crash either keeps the whole chunk (and resumes after
          it) or none of it *)
-      let records = ref [ Wal.Mark { chunk; wal_index = p.p_wal_index } ] in
-      for i = Batch.length entries - 1 downto 0 do
-        records :=
-          Wal.Install
-            {
-              key = Batch.key entries i;
-              ts =
-                Timestamp.make ~version:(Batch.version entries i)
-                  ~sid:(Batch.sid entries i);
-              value = Batch.value entries i;
-            }
-          :: !records
-      done;
-      Wal.append_batch wal !records
+      Wal.install_batch wal ~mark:(chunk, p.p_wal_index) entries
     | None -> ());
     t.provision_chunks <- t.provision_chunks + 1;
     ocount t "provision.chunks";
@@ -513,7 +479,7 @@ let prov_tail t p ~src ~dinc ~next_index ~entries =
     (* completion mark: retires the transfer's resume state so a later
        rejoin starts fresh *)
     (match t.wal with
-    | Some wal -> Wal.append wal (Wal.Mark { chunk = -1; wal_index = next_index })
+    | Some wal -> Wal.mark wal ~chunk:(-1) ~wal_index:next_index
     | None -> ());
     t.prov <- None;
     t.provision_runs <- t.provision_runs + 1;
@@ -688,12 +654,8 @@ let handle_serving t ~src msg =
   | Prepare { op; key; version; sid; value } ->
     t.prepares_seen <- t.prepares_seen + 1;
     Store.stage_flat t.store ~op ~key ~version ~sid ~value;
-    (* The WAL keeps boxed timestamps (cold path); build one only when a
-       WAL is actually attached. *)
     (match t.wal with
-    | Some wal ->
-      Wal.append wal
-        (Wal.Stage { op; key; ts = Timestamp.make ~version ~sid; value })
+    | Some wal -> Wal.stage wal ~op ~key ~version ~sid ~value
     | None -> ());
     send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
   | Commit { op; inc } ->
@@ -708,11 +670,9 @@ let handle_serving t ~src msg =
     else begin
       (if Store.has_staged t.store ~op then begin
          (match t.wal with
-         | Some wal -> (
-           match Store.staged t.store ~op with
-           | Some (key, ts, value) ->
-             Wal.append wal (Wal.Commit { op; key; ts; value })
-           | None -> ())
+         | Some wal ->
+           let key, version, sid, value = Store.staged_write t.store ~op in
+           Wal.commit wal ~op ~key ~version ~sid ~value
          | None -> ());
          if Store.commit_staged t.store ~op then
            t.writes_applied <- t.writes_applied + 1
@@ -720,18 +680,12 @@ let handle_serving t ~src msg =
        else
          let n = Store.staged_batch_size t.store ~op in
          if n > 0 then begin
-           (* A staged batch commits atomically: every write's Commit
-              record shares the batch's durability point. *)
-           (match t.wal with
-           | Some _ -> (
-             match Store.staged_many t.store ~op with
-             | Some writes ->
-               wal_append_many t
-                 (List.map
-                    (fun (key, ts, value) -> Wal.Commit { op; key; ts; value })
-                    (Batch.to_list writes))
-             | None -> ())
-           | None -> ());
+           (* A staged batch commits atomically: under group commit every
+              write's Commit record shares the batch's durability point. *)
+           (match (t.wal, Store.staged_many t.store ~op) with
+           | Some wal, Some writes ->
+             Wal.commit_batch wal ~group:t.group_commit ~op writes
+           | _ -> ());
            if Store.commit_staged t.store ~op then
              t.writes_applied <- t.writes_applied + n
          end);
@@ -741,16 +695,16 @@ let handle_serving t ~src msg =
       send t ~dst:src (Message.Commit_ack { op; inc = t.incarnation })
     end
   | Abort { op } ->
-    if Store.has_staged t.store ~op || Store.staged_batch_size t.store ~op > 0
-    then wal_append t (Wal.Abort { op });
+    (match t.wal with
+    | Some wal
+      when Store.has_staged t.store ~op
+           || Store.staged_batch_size t.store ~op > 0 ->
+      Wal.abort wal ~op
+    | _ -> ());
     Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
     if Store.install_flat t.store ~key ~version ~sid ~value then begin
-      (match t.wal with
-      | Some wal ->
-        Wal.append wal
-          (Wal.Install { key; ts = Timestamp.make ~version ~sid; value })
-      | None -> ());
+      wal_install t ~key ~version ~sid ~value;
       t.repairs_applied <- t.repairs_applied + 1
     end
   | Read_batch { op; n_keys; keys } ->
@@ -772,11 +726,7 @@ let handle_serving t ~src msg =
     t.prepares_seen <- t.prepares_seen + Batch.length writes;
     Store.stage_many t.store ~op writes;
     (match t.wal with
-    | Some _ ->
-      wal_append_many t
-        (List.map
-           (fun (key, ts, value) -> Wal.Stage { op; key; ts; value })
-           (Batch.to_list writes))
+    | Some wal -> Wal.stage_batch wal ~group:t.group_commit ~op writes
     | None -> ());
     send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -836,11 +786,7 @@ let handle_recovering t ~src msg =
   | Abort { op } -> Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
     if Store.install_flat t.store ~key ~version ~sid ~value then begin
-      (match t.wal with
-      | Some wal ->
-        Wal.append wal
-          (Wal.Install { key; ts = Timestamp.make ~version ~sid; value })
-      | None -> ());
+      wal_install t ~key ~version ~sid ~value;
       t.repairs_applied <- t.repairs_applied + 1
     end
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -989,9 +935,8 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
     | None -> None
     | Some r ->
       Some
-        (Wal.create ~policy:r.wal_policy
-           ~now:(fun () -> Engine.now (Network.engine net))
-           ())
+        (Wal.of_clock ~policy:r.wal_policy
+           (Engine.clock (Network.engine net)))
   in
   let universe =
     match admission with

@@ -125,8 +125,8 @@ val create :
 
     [group_commit] (default [false]) makes the WAL records of one batched
     prepare or commit share a single durability point
-    ({!Wal.append_batch}): at most one sync is charged per batch instead
-    of one per record.  Per-record durability semantics are unchanged —
+    ({!Wal.stage_batch}, {!Wal.commit_batch}): at most one sync is
+    charged per batch instead of one per record.  Per-record durability semantics are unchanged —
     the records are stamped exactly as individual appends at the same
     instant would stamp them — so crash truncation and replay behave
     identically; only the {!wal_syncs} cost model differs.  No effect on

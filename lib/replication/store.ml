@@ -124,6 +124,8 @@ let staged t ~op =
     Some (key, Timestamp.make ~version ~sid, value)
   | exception Not_found -> None
 
+let staged_write t ~op = Hashtbl.find t.pending op
+
 let stage_many t ~op (writes : Batch.t) =
   Hashtbl.remove t.pending op;
   Hashtbl.replace t.pending_batch op (Batch.Builder.of_batch writes)

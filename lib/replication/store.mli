@@ -62,6 +62,11 @@ val has_staged : t -> op:int -> bool
 (** Whether a single write is staged under [op], without allocating the
     option {!staged} returns. *)
 
+val staged_write : t -> op:int -> int * int * int * string
+(** The single write staged under [op] as the store holds it,
+    [(key, version, sid, value)], without allocating.
+    @raise Not_found when none is staged. *)
+
 val stage_many : t -> op:int -> Batch.t -> unit
 (** Stages a whole batch of writes under one op id (a batched prepare);
     clears any single stage under the same id.  Committed or aborted

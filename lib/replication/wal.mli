@@ -59,18 +59,61 @@ type record =
           effect on replay. *)
 
 type t
+(** A columnar log: one row per {e stored} record, in append order.  A
+    record the policy never makes durable (a [Stage] or [Abort] under
+    {!Sync_on_commit}) is counted — in {!length}, {!next_index} and, at
+    the next {!crash}, {!lost_total} — but not stored: every crash would
+    discard it, and replay only rebuilds what a crash left. *)
 
 val create : ?policy:policy -> now:(unit -> float) -> unit -> t
 (** [now] is the virtual clock (the engine's) used to stamp appends and
     decide durability at crash time.  Default policy {!Sync_on_commit}.
     Raises [Invalid_argument] on [Async lag] with [lag <= 0]. *)
 
+val of_clock : ?policy:policy -> Dsim.Engine.clock -> t
+(** {!create} reading the engine's clock record directly, so an append
+    allocates no minor-heap words: rows go into 512-row column chunks
+    allocated straight in the major heap. *)
+
 val policy : t -> policy
+
+(** {2 Flat appenders}
+
+    The replica's paths append through these: each stores one row (or,
+    for a never-durable record, just counts it) without building a
+    {!record}, a timestamp or a list.  Sync accounting is that of
+    {!append} (one record) and {!append_batch} (a group). *)
+
+val stage :
+  t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
+
+val commit :
+  t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
+
+val install : t -> key:int -> version:int -> sid:int -> value:string -> unit
+val abort : t -> op:int -> unit
+val mark : t -> chunk:int -> wal_index:int -> unit
+
+val stage_batch : t -> group:bool -> op:int -> Batch.t -> unit
+(** One [Stage] under [op] per entry, in batch order.  [group]: the batch
+    shares one durability point and is charged at most one {!syncs};
+    otherwise each record is charged as if appended alone. *)
+
+val commit_batch : t -> group:bool -> op:int -> Batch.t -> unit
+(** {!stage_batch} for the [Commit] records of a staged batch. *)
+
+val install_batch : t -> ?mark:int * int -> Batch.t -> unit
+(** One [Install] per entry, then [Mark { chunk; wal_index }] when
+    [mark = (chunk, wal_index)] is given, all at one durability point
+    (at most one {!syncs}). *)
+
+(** {2 Records} *)
 
 val append : t -> record -> unit
 (** Appends one record, stamped durable per the policy.  Counts one
     {!syncs} when the policy forces it to stable storage immediately
-    (Sync_on_prepare always; Sync_on_commit for [Commit]/[Install]). *)
+    (Sync_on_prepare always; Sync_on_commit for [Commit], [Install] and
+    [Mark]). *)
 
 val append_batch : t -> record list -> unit
 (** Group commit: appends the records in order with the same per-record
@@ -88,9 +131,11 @@ val crash : t -> unit
     the replica's memory survives, so the log is irrelevant. *)
 
 val replay : t -> Store.t -> int
-(** Rebuild [store] from the log in append order: installs are applied
-    monotonically, stages re-staged, aborts clear their stage.  Returns the
-    number of records applied. *)
+(** Rebuild [store] from the stored records in append order: installs
+    are applied monotonically, stages re-staged, aborts clear their
+    stage.  Returns the number of records applied.  Never-durable records
+    are not stored, so replay rebuilds what a crash left: the replica
+    replays only after {!crash}, when the two coincide. *)
 
 (** {2 Indices, snapshot cuts and tails}
 
@@ -130,7 +175,8 @@ val resume_state : t -> (int * int) option
     mark). *)
 
 val length : t -> int
-(** Records currently in the log (durable or not). *)
+(** Records currently in the log: the stored ones plus the never-durable
+    ones counted since the last {!crash}. *)
 
 val lost_total : t -> int
 (** Records discarded across all {!crash} calls so far — the measurable

@@ -11,3 +11,6 @@ val sample : t -> Dsutil.Rng.t -> int
 
 val pmf : t -> int -> float
 (** Probability of the given key. *)
+
+val cdf : t -> int -> float
+(** [cdf t i] is the probability of a key [<= i]; [cdf t (n - 1) = 1]. *)

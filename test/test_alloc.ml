@@ -10,6 +10,8 @@ module Bitset = Dsutil.Bitset
 module Coordinator = Replication.Coordinator
 module Replica = Replication.Replica
 module View = Detect.View
+module Message = Replication.Message
+module Wal = Replication.Wal
 
 (* Minor words per call of [f], over [iters] calls. *)
 let words_per ~iters f =
@@ -131,6 +133,72 @@ let test_coordinator_ops () =
   check_budget "warm read" ~budget:160.0 rd;
   check_budget "warm write" ~budget:400.0 wr
 
+(* The flat WAL appenders: 0 minor words per record, single or batched,
+   stored or merely counted.  A new chunk's columns are allocated straight
+   in the major heap; only its 8-word record is minor, once per 512
+   rows, inside the tolerance. *)
+let test_wal_appenders () =
+  let engine = Engine.create ~seed:1 () in
+  let batch =
+    Replication.Batch.init 32 (fun i -> (i, 1, 0, "v"))
+  in
+  List.iter
+    (fun policy ->
+      let wal = Wal.of_clock ~policy (Engine.clock engine) in
+      for key = 1 to 1_000 do
+        Wal.install wal ~key ~version:1 ~sid:0 ~value:"v"
+      done;
+      let name what =
+        Printf.sprintf "%s (%s)" what (Wal.policy_to_string policy)
+      in
+      let per_record ~records ~iters what f =
+        check_budget (name what) ~budget:0.0
+          (words_per ~iters f /. float_of_int records)
+      in
+      per_record ~records:4 ~iters:1_000 "stage+commit+install+abort"
+        (fun () ->
+          Wal.stage wal ~op:1 ~key:2 ~version:3 ~sid:0 ~value:"v";
+          Wal.commit wal ~op:1 ~key:2 ~version:3 ~sid:0 ~value:"v";
+          Wal.install wal ~key:2 ~version:3 ~sid:0 ~value:"v";
+          Wal.abort wal ~op:1);
+      per_record ~records:64 ~iters:100 "grouped stage_batch+commit_batch"
+        (fun () ->
+          Wal.stage_batch wal ~group:true ~op:1 batch;
+          Wal.commit_batch wal ~group:true ~op:1 batch))
+    [ Wal.Sync_on_commit; Wal.Sync_on_prepare; Wal.Async 5.0 ]
+
+(* One group-commit replica with a Sync_on_commit WAL handling a 32-key
+   [Prepare_batch] and its [Commit], acks included: the batched-capacity
+   workload's write path at one replica.  32 words measured: the two
+   acks, four boxed delays, the staged batch's builder and table bucket;
+   the list-based WAL's records cost 1,797. *)
+let test_replica_batch_write () =
+  let engine, net = network ~n:2 in
+  let replica =
+    Replica.create ~site:0 ~net
+      ~recovery:(Replica.recovery ~catch_up:false ())
+      ~group_commit:true ()
+  in
+  let acks = ref 0 in
+  Network.set_handler net ~site:1 (fun ~src:_ _ -> incr acks);
+  let writes = Replication.Batch.init 32 (fun i -> (i, 1, 0, "v")) in
+  let prepare = Message.Prepare_batch { op = 7; writes } in
+  let commit = Message.Commit { op = 7; inc = 0 } in
+  let round () =
+    Network.send net ~src:1 ~dst:0 prepare;
+    Engine.run engine;
+    Network.send net ~src:1 ~dst:0 commit;
+    Engine.run engine
+  in
+  for _ = 1 to 64 do
+    round ()
+  done;
+  let words = words_per ~iters:2_000 round in
+  Alcotest.(check int) "every prepare and commit acked" 4_128 !acks;
+  Alcotest.(check int) "every write applied" (2_064 * 32)
+    (Replica.writes_applied replica);
+  check_budget "Prepare_batch + Commit, 32 keys" ~budget:40.0 words
+
 let suite =
   [
     Alcotest.test_case "engine event allocates nothing" `Quick
@@ -143,4 +211,8 @@ let suite =
       test_oracle_view_rebuilt;
     Alcotest.test_case "warm read and write within budget" `Quick
       test_coordinator_ops;
+    Alcotest.test_case "flat WAL appenders allocate nothing" `Quick
+      test_wal_appenders;
+    Alcotest.test_case "group-commit batch write within budget" `Quick
+      test_replica_batch_write;
   ]

@@ -319,6 +319,271 @@ let test_resume_after_install_crash () =
   Alcotest.(check bool) "completion mark means fresh transfer" true
     (Wal.resume_state wal = None)
 
+(* --- reference model ------------------------------------------------------ *)
+
+(* The columnar log against the list-based one it replaced ([Wal_ref]):
+   one random stream drives both — single appends through the record
+   wrapper and the flat appenders, batches with and without grouping,
+   chunk installs with marks, clock moves and crashes, including crashes
+   at exactly (and one ulp either side of) an append's Async deadline.
+   Counters, tails and the resume mark must agree after every step, and
+   replay — which the replica runs only after a crash — after every
+   crash. *)
+
+type step =
+  | Append of Wal.record * bool  (** through the flat appender if true *)
+  | Records of Wal.record list  (** [append_batch] *)
+  | Rows of bool * bool * int * Replication.Batch.t
+      (** commit (else stage) rows of [op]; grouped? *)
+  | Chunk of Replication.Batch.t * (int * int) option
+  | Fill of int  (** that many commits, the clock moving between them *)
+  | Advance of float
+  | Crash_at of int * int * int
+      (** nth append's deadline, nudged by -1/0/+1 ulp; replay_from seed *)
+
+let pp_record = function
+  | Wal.Stage { op; key; ts; value } ->
+    Printf.sprintf "Stage(%d,%d,v%d@%d,%S)" op key ts.version ts.sid value
+  | Wal.Commit { op; key; ts; value } ->
+    Printf.sprintf "Commit(%d,%d,v%d@%d,%S)" op key ts.version ts.sid value
+  | Wal.Install { key; ts; value } ->
+    Printf.sprintf "Install(%d,v%d@%d,%S)" key ts.version ts.sid value
+  | Wal.Abort { op } -> Printf.sprintf "Abort(%d)" op
+  | Wal.Mark { chunk; wal_index } ->
+    Printf.sprintf "Mark(%d,%d)" chunk wal_index
+
+let pp_batch b =
+  String.concat ";"
+    (List.map
+       (fun (k, (ts : Timestamp.t), v) ->
+         Printf.sprintf "%d:v%d@%d:%s" k ts.version ts.sid v)
+       (Replication.Batch.to_list b))
+
+let pp_step = function
+  | Append (r, flat) -> Printf.sprintf "Append(%s,%b)" (pp_record r) flat
+  | Records rs -> "Records[" ^ String.concat ";" (List.map pp_record rs) ^ "]"
+  | Rows (c, g, op, b) ->
+    Printf.sprintf "Rows(%b,%b,%d,[%s])" c g op (pp_batch b)
+  | Chunk (b, m) ->
+    Printf.sprintf "Chunk([%s],%s)" (pp_batch b)
+      (match m with Some (c, w) -> Printf.sprintf "%d,%d" c w | None -> "-")
+  | Fill n -> Printf.sprintf "Fill %d" n
+  | Advance d -> Printf.sprintf "Advance %g" d
+  | Crash_at (k, ulp, f) -> Printf.sprintf "Crash_at(%d,%d,%d)" k ulp f
+
+let gen_stream =
+  let open QCheck.Gen in
+  let op = int_bound 5 and key = int_bound 7 in
+  let value = oneofl [ "a"; "b"; "" ] in
+  let ts =
+    map2
+      (fun version sid -> Timestamp.make ~version ~sid)
+      (int_range 1 5) (int_bound 3)
+  in
+  let record =
+    frequency
+      [
+        ( 3,
+          map4
+            (fun op key ts value -> Wal.Stage { op; key; ts; value })
+            op key ts value );
+        ( 3,
+          map4
+            (fun op key ts value -> Wal.Commit { op; key; ts; value })
+            op key ts value );
+        ( 2,
+          map3
+            (fun key ts value -> Wal.Install { key; ts; value })
+            key ts value );
+        (1, map (fun op -> Wal.Abort { op }) op);
+        ( 1,
+          map2
+            (fun chunk wal_index -> Wal.Mark { chunk; wal_index })
+            (int_range (-1) 3) (int_bound 40) );
+      ]
+  in
+  let batch =
+    map Replication.Batch.of_list
+      (list_size (int_bound 4) (triple key ts value))
+  in
+  let step =
+    frequency
+      [
+        (6, map2 (fun r flat -> Append (r, flat)) record bool);
+        (2, map (fun rs -> Records rs) (list_size (int_bound 4) record));
+        (3, map4 (fun c g op b -> Rows (c, g, op, b)) bool bool op batch);
+        ( 1,
+          map2
+            (fun b m -> Chunk (b, m))
+            batch
+            (opt (pair (int_range (-1) 3) (int_bound 40))) );
+        (1, map (fun n -> Fill n) (int_bound 700));
+        (3, map (fun d -> Advance d) (oneofl [ 0.0; 0.25; 0.5; 1.0; 3.0 ]));
+        ( 2,
+          map3
+            (fun k ulp f -> Crash_at (k, ulp, f))
+            (int_bound 50) (int_range (-1) 1) (int_bound 50) );
+      ]
+  in
+  pair (oneofl [ Wal.Sync_on_commit; Wal.Sync_on_prepare; Wal.Async 0.75 ])
+    (list_size (int_range 1 40) step)
+
+let store_view store =
+  let module S = Store in
+  ( List.map (fun key -> (key, S.read store ~key)) (S.keys store),
+    S.staged_count store,
+    List.init 6 (fun op ->
+        ( S.staged store ~op,
+          Option.map Replication.Batch.to_list (S.staged_many store ~op) )) )
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"columnar WAL matches the list-based reference"
+    ~count:250
+    (QCheck.make gen_stream ~print:(fun (policy, steps) ->
+         Wal.policy_to_string policy ^ ": "
+         ^ String.concat "\n" (List.map pp_step steps)))
+    (fun (policy, steps) ->
+      let now, set = clock () in
+      let wal = Wal.create ~policy ~now () in
+      let ref_ = Wal_ref.create ~policy ~now () in
+      let lag = match policy with Wal.Async lag -> lag | _ -> 0.0 in
+      let appended = ref [] in
+      let note () = appended := now () :: !appended in
+      let check what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s differs" what
+      in
+      let records_of commit op b =
+        List.map
+          (fun (key, ts, value) ->
+            if commit then Wal.Commit { op; key; ts; value }
+            else Wal.Stage { op; key; ts; value })
+          (Replication.Batch.to_list b)
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Append (r, flat) ->
+            note ();
+            Wal_ref.append ref_ r;
+            if not flat then Wal.append wal r
+            else (
+              match r with
+              | Wal.Stage { op; key; ts; value } ->
+                Wal.stage wal ~op ~key ~version:ts.version ~sid:ts.sid ~value
+              | Wal.Commit { op; key; ts; value } ->
+                Wal.commit wal ~op ~key ~version:ts.version ~sid:ts.sid ~value
+              | Wal.Install { key; ts; value } ->
+                Wal.install wal ~key ~version:ts.version ~sid:ts.sid ~value
+              | Wal.Abort { op } -> Wal.abort wal ~op
+              | Wal.Mark { chunk; wal_index } -> Wal.mark wal ~chunk ~wal_index)
+          | Records rs ->
+            note ();
+            Wal_ref.append_batch ref_ rs;
+            Wal.append_batch wal rs
+          | Rows (commit, group, op, b) ->
+            note ();
+            let rs = records_of commit op b in
+            if group then Wal_ref.append_batch ref_ rs
+            else List.iter (Wal_ref.append ref_) rs;
+            if commit then Wal.commit_batch wal ~group ~op b
+            else Wal.stage_batch wal ~group ~op b
+          | Chunk (b, mark) ->
+            note ();
+            let marks =
+              match mark with
+              | Some (chunk, wal_index) -> [ Wal.Mark { chunk; wal_index } ]
+              | None -> []
+            in
+            Wal_ref.append_batch ref_
+              (List.map
+                 (fun (key, ts, value) -> Wal.Install { key; ts; value })
+                 (Replication.Batch.to_list b)
+              @ marks);
+            Wal.install_batch wal ?mark b
+          | Fill n ->
+            for i = 0 to n - 1 do
+              set (now () +. 0.125);
+              note ();
+              let key = i mod 8 and version = 1 + (i mod 5) and op = i mod 6 in
+              Wal_ref.append ref_ (commit ~op ~key ~v:version "f");
+              Wal.commit wal ~op ~key ~version ~sid:0 ~value:"f"
+            done
+          | Advance d -> set (now () +. d)
+          | Crash_at (k, ulp, f) ->
+            (match !appended with
+            | [] -> ()
+            | times ->
+              let deadline = List.nth times (k mod List.length times) +. lag in
+              set
+                (if ulp < 0 then Float.pred deadline
+                 else if ulp > 0 then Float.succ deadline
+                 else deadline));
+            Wal_ref.crash ref_;
+            Wal.crash wal;
+            let s1 = Store.create () and s2 = Store.create () in
+            check "replay count" (Wal_ref.replay ref_ s1) (Wal.replay wal s2);
+            check "replayed store" (store_view s1) (store_view s2);
+            let index = f mod (Wal.next_index wal + 1) in
+            let s1 = Store.create () and s2 = Store.create () in
+            check "replay_from count"
+              (Wal_ref.replay_from ref_ s1 ~index)
+              (Wal.replay_from wal s2 ~index);
+            check "replay_from store" (store_view s1) (store_view s2));
+          check "length" (Wal_ref.length ref_) (Wal.length wal);
+          check "lost_total" (Wal_ref.lost_total ref_) (Wal.lost_total wal);
+          check "syncs" (Wal_ref.syncs ref_) (Wal.syncs wal);
+          check "next_index" (Wal_ref.next_index ref_) (Wal.next_index wal);
+          check "resume_state" (Wal_ref.resume_state ref_)
+            (Wal.resume_state wal);
+          let tail i = Replication.Batch.to_list i in
+          let next = Wal.next_index wal in
+          List.iter
+            (fun index ->
+              check "committed_since"
+                (tail (Wal_ref.committed_since ref_ ~index))
+                (tail (Wal.committed_since wal ~index)))
+            [ 0; next / 2; next ])
+        steps;
+      true)
+
+(* Crash compaction moves surviving rows down across chunk boundaries:
+   under Async, records stamped alternately late and early (the clock
+   jumping back and forth) leave every other row non-durable, so each
+   survivor shifts — past several 512-row chunks over 1,500 records. *)
+let test_compaction_across_chunks () =
+  let now, set = clock () in
+  let policy = Wal.Async 1.0 in
+  let wal = Wal.create ~policy ~now () in
+  let ref_ = Wal_ref.create ~policy ~now () in
+  for i = 0 to 1_499 do
+    set (if i mod 3 = 0 then 10.0 else 0.0);
+    let key = i mod 100 and version = 1 + i in
+    Wal.commit wal ~op:i ~key ~version ~sid:0 ~value:(string_of_int i);
+    Wal_ref.append ref_
+      (commit ~op:i ~key ~v:version (string_of_int i))
+  done;
+  set 5.0;
+  Wal.crash wal;
+  Wal_ref.crash ref_;
+  Alcotest.(check int) "a third lost" 500 (Wal.lost_total wal);
+  let tail w = Replication.Batch.to_list w in
+  Alcotest.(check bool) "same surviving tail" true
+    (tail (Wal_ref.committed_since ref_ ~index:0)
+    = tail (Wal.committed_since wal ~index:0));
+  Alcotest.(check bool) "same tail from mid-log" true
+    (tail (Wal_ref.committed_since ref_ ~index:700)
+    = tail (Wal.committed_since wal ~index:700));
+  (* appends after the compaction land behind the survivors *)
+  Wal.install wal ~key:7 ~version:9_999 ~sid:0 ~value:"after";
+  Wal_ref.append ref_ (install ~key:7 ~v:9_999 "after");
+  let s1 = Store.create () and s2 = Store.create () in
+  Alcotest.(check int) "replay count" (Wal_ref.replay ref_ s1)
+    (Wal.replay wal s2);
+  for key = 0 to 99 do
+    Alcotest.(check bool) "replayed key" true
+      (Store.read s1 ~key = Store.read s2 ~key)
+  done
+
 let suite =
   [
     Alcotest.test_case "policy strings" `Quick test_policy_strings;
@@ -350,4 +615,7 @@ let suite =
       test_indices_monotone_across_crash;
     Alcotest.test_case "crash right after a marked chunk resumes" `Quick
       test_resume_after_install_crash;
+    Alcotest.test_case "crash compaction across chunks" `Quick
+      test_compaction_across_chunks;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

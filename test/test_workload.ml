@@ -41,6 +41,37 @@ let test_zipf_validation () =
   Alcotest.check_raises "theta" (Invalid_argument "Zipf.create: theta out of [0,2]")
     (fun () -> ignore (Zipf.create ~n:5 ~theta:3.0))
 
+(* The CDF as [Zipf.create] used to build it, with closures and boxed
+   floats: the in-place loops must reproduce it bit for bit. *)
+let reference_cdf ~n ~theta =
+  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let cdf = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i w ->
+      acc := !acc +. (w /. total);
+      cdf.(i) <- !acc)
+    weights;
+  cdf.(n - 1) <- 1.0;
+  cdf
+
+let prop_zipf_cdf_bit_identical =
+  QCheck.Test.make ~name:"zipf cdf bit-identical to the reference" ~count:60
+    QCheck.(
+      pair (int_range 1 70_000)
+        (oneof [ always 0.0; float_range 0.0 2.0 ]))
+    (fun (n, theta) ->
+      let z = Zipf.create ~n ~theta in
+      let expected = reference_cdf ~n ~theta in
+      let same = ref true in
+      for i = 0 to n - 1 do
+        if Int64.bits_of_float (Zipf.cdf z i)
+           <> Int64.bits_of_float expected.(i)
+        then same := false
+      done;
+      !same)
+
 let test_generator_mix () =
   let gen =
     Generator.create ~rng:(Rng.create 67) ~read_fraction:0.7 ~key_space:4 ()
@@ -91,6 +122,7 @@ let suite =
     Alcotest.test_case "zipf sampling matches pmf" `Quick
       test_zipf_sampling_matches_pmf;
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
+    QCheck_alcotest.to_alcotest prop_zipf_cdf_bit_identical;
     Alcotest.test_case "generator mix" `Quick test_generator_mix;
     Alcotest.test_case "generator payload uniqueness" `Quick
       test_generator_payload_unique;
