@@ -49,31 +49,31 @@ let overload_cell_json (c : Eval.Overload.cell) =
     r.Replication.Harness.breaker_trips r.Replication.Harness.queue_peak
     c.Eval.Overload.consistency_violations
 
+(* The artifact's gate record: the verdict of the campaign's OCaml gate. *)
+let gate_json ~pass failures =
+  Printf.sprintf "{\"pass\":%b,\"failures\":[%s]}" pass
+    (String.concat ","
+       (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) failures))
+
+let write_artifact path json =
+  let oc = open_out path in
+  output_string oc json;
+  output_char oc '\n';
+  close_out oc
+
 let run_overload () =
   Printf.printf "\n== Overload / metastable-failure campaign ==\n\n";
   let campaign = Eval.Overload.run () in
   print_string (Eval.Overload.table campaign);
-  let verdict = Eval.Overload.gate campaign in
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"bench-overload/1\",\"cells\":[%s],\"gate\":{\"pass\":%b,\"failures\":[%s]}}"
-      (String.concat ","
-         (List.map overload_cell_json campaign.Eval.Overload.cells))
-      verdict.Eval.Overload.pass
-      (String.concat ","
-         (List.map
-            (fun f -> Printf.sprintf "\"%s\"" (json_escape f))
-            verdict.Eval.Overload.failures))
-  in
-  let oc = open_out overload_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  let { Eval.Overload.pass; failures } = Eval.Overload.gate campaign in
+  write_artifact overload_path
+    (Printf.sprintf "{\"schema\":\"bench-overload/1\",\"cells\":[%s],\"gate\":%s}"
+       (String.concat ","
+          (List.map overload_cell_json campaign.Eval.Overload.cells))
+       (gate_json ~pass failures));
   Printf.printf "\nwrote %s\n" overload_path;
-  if not verdict.Eval.Overload.pass then begin
-    List.iter
-      (fun f -> Printf.eprintf "overload gate: %s\n" f)
-      verdict.Eval.Overload.failures;
+  if not pass then begin
+    List.iter (fun f -> Printf.eprintf "overload gate: %s\n" f) failures;
     prerr_endline "FAIL: overload gate";
     exit 1
   end;
@@ -97,9 +97,8 @@ let churn_cell_json (c : Eval.Churn.cell) =
     r.Replication.Harness.safety_violations
 
 (* Membership-churn smoke gate: the fenced campaign (four configs × four
-   scenarios, plus the sharded run) must be violation-free, the unfenced
-   blackout control must leak, and snapshot provisioning must beat per-key
-   catch-up by at least 5× in protocol rounds on a cold 10k-key rejoin. *)
+   scenarios, plus the sharded run) and its unfenced blackout control,
+   plus the cold-rejoin round comparison, judged by [Eval.Churn.gate]. *)
 let run_churn () =
   Printf.printf "\n== Membership churn campaign ==\n\n";
   let fenced = Eval.Churn.run ~n:13 () in
@@ -116,45 +115,18 @@ let run_churn () =
      rounds (%.1fx)\n"
     rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_n rj.Eval.Churn.rj_catchup_rounds
     rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup;
-  let fenced_violations =
-    Eval.Churn.violations fenced + Eval.Churn.violations sharded
+  let { Eval.Churn.pass; failures } =
+    Eval.Churn.gate { Eval.Churn.fenced; sharded; negative; cold_rejoin = rj }
   in
-  let negative_violations = Eval.Churn.violations negative in
-  let failures = ref [] in
-  if fenced_violations > 0 then
-    failures :=
-      Printf.sprintf "%d violations in the fenced campaign (expected 0)"
-        fenced_violations
-      :: !failures;
-  if negative_violations = 0 then
-    failures :=
-      "negative control leaked nothing — the churn oracle is not catching \
-       stale reads"
-      :: !failures;
-  if not (rj.Eval.Churn.rj_catchup_serving && rj.Eval.Churn.rj_provision_serving)
-  then failures := "a cold rejoin failed to reach serving" :: !failures;
-  if rj.Eval.Churn.rj_speedup < 5.0 then
-    failures :=
-      Printf.sprintf "cold-rejoin speedup %.1fx below the 5x gate"
-        rj.Eval.Churn.rj_speedup
-      :: !failures;
-  let failures = List.rev !failures in
-  let pass = failures = [] in
-  let json =
-    Printf.sprintf
-      "{\"schema\":\"bench-churn/1\",\"cells\":[%s],\"cold_rejoin\":{\"keys\":%d,\"catchup_rounds\":%d,\"provision_rounds\":%d,\"speedup\":%.4f},\"negative_violations\":%d,\"gate\":{\"pass\":%b,\"failures\":[%s]}}"
-      (String.concat ","
-         (List.map churn_cell_json (fenced @ sharded @ negative)))
-      rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_catchup_rounds
-      rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup
-      negative_violations pass
-      (String.concat ","
-         (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) failures))
-  in
-  let oc = open_out churn_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
+  write_artifact churn_path
+    (Printf.sprintf
+       "{\"schema\":\"bench-churn/1\",\"cells\":[%s],\"cold_rejoin\":{\"keys\":%d,\"catchup_rounds\":%d,\"provision_rounds\":%d,\"speedup\":%.4f},\"negative_violations\":%d,\"gate\":%s}"
+       (String.concat ","
+          (List.map churn_cell_json (fenced @ sharded @ negative)))
+       rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_catchup_rounds
+       rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup
+       (Eval.Churn.violations negative)
+       (gate_json ~pass failures));
   Printf.printf "wrote %s\n" churn_path;
   if not pass then begin
     List.iter (fun f -> Printf.eprintf "churn gate: %s\n" f) failures;

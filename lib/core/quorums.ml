@@ -99,7 +99,7 @@ let protocol tree =
     (Plan_cache.create tree)
 
 (* The uncached per-operation assembly, packaged for ablation benchmarks
-   (bench/main.exe --hotpath measures the cached path against this). *)
+   (perfbench's de-optimised control runs the benchmark on this). *)
 let reference_protocol tree =
   Quorum.Protocol.pack
     (module struct

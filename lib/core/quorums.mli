@@ -49,4 +49,4 @@ val protocol : Tree.t -> Quorum.Protocol.t
 
 val reference_protocol : Tree.t -> Quorum.Protocol.t
 (** The uncached reference assembly ({!read_quorum}/{!write_quorum} as-is),
-    packaged for equivalence tests and the hot-path ablation benchmark. *)
+    packaged for equivalence tests and perfbench's de-optimised control. *)

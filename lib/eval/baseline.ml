@@ -142,6 +142,21 @@ let span_leaks rows =
   let leak s = s.spans_open + abs (s.spans_started - s.spans_closed) in
   List.fold_left (fun acc r -> acc + leak r.reads + leak r.writes) 0 rows
 
+type verdict = { pass : bool; failures : string list }
+
+let gate rows =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  if List.length rows <> List.length default_cases then
+    fail "%d cases (want %d)" (List.length rows) (List.length default_cases);
+  let err = max_load_error rows in
+  if err > 0.10 then
+    fail "max per-site load deviation %.1f%% vs Equation 3.2 (want <= 10%%)"
+      (100.0 *. err);
+  let leaks = span_leaks rows in
+  if leaks > 0 then fail "%d spans leaked (want 0)" leaks;
+  { pass = !failures = []; failures = List.rev !failures }
+
 let table rows =
   let cells =
     List.map

@@ -9,9 +9,8 @@
     converges to within 10% of the analytic prediction at the default
     seed; everything is deterministic (virtual time, seeded Rng).
 
-    The result feeds [bench/main.exe], which renders the table, asserts
-    span accounting and load deviations, and writes
-    [BENCH_baseline.json]. *)
+    The result feeds [bench/main.exe], which renders the table, applies
+    {!gate} and writes [BENCH_baseline.json]. *)
 
 type side = {
   ops : int;  (** operations issued *)
@@ -62,6 +61,14 @@ val max_load_error : row list -> float
 val span_leaks : row list -> int
 (** Σ over rows of spans still open, plus any started/closed mismatch —
     0 iff accounting is exact. *)
+
+type verdict = { pass : bool; failures : string list }
+
+val gate : row list -> verdict
+(** The [BENCH_baseline.json] acceptance predicate: one row per
+    {!default_cases} entry, every measured per-site load within 10% of
+    Equation 3.2 ({!max_load_error} ≤ 0.10), and exact span accounting
+    ({!span_leaks} = 0). *)
 
 val table : row list -> string
 (** Human-readable summary table. *)

@@ -179,7 +179,9 @@ let run_negative ?(n = 45) ?(clients = 3) ?(ops = 40) ?(seed = 42)
    per key shard), each under its own donor-crash rejoin plus a rolling
    membership script, seeded per shard.  Shards share nothing, so the
    campaign runs them as separate cells and the gate sums them. *)
-let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
+let default_shards = 3
+
+let run_sharded ?(shards = default_shards) ?(n = 45) ?(clients = 3) ?(ops = 25)
     ?(seed = 42) ?(horizon = 3000.0) ?(config = Config.Unmodified) ?domains ()
     =
   let run_cell shard =
@@ -328,3 +330,53 @@ let cold_rejoin_comparison ?(n = 7) ?(keys = 10_000) ?(chunk_size = 512)
       (if rj_provision_rounds = 0 then 0.0
        else float_of_int rj_catchup_rounds /. float_of_int rj_provision_rounds);
   }
+
+(* --- acceptance gate ---------------------------------------------------- *)
+
+type campaign = {
+  fenced : cell list;
+  sharded : cell list;
+  negative : cell list;
+  cold_rejoin : rejoin_comparison;
+}
+
+type verdict = { pass : bool; failures : string list }
+
+let gate c =
+  let failures = ref [] in
+  let check cond fmt =
+    Printf.ksprintf (fun msg -> if not cond then failures := msg :: !failures) fmt
+  in
+  let expect what cells want =
+    check
+      (List.length cells = want)
+      "%d %s cells (want %d)" (List.length cells) what want
+  in
+  expect "fenced" c.fenced
+    (List.length default_configs * List.length default_kinds);
+  expect "sharded" c.sharded default_shards;
+  expect "negative-control" c.negative (List.length default_configs);
+  let fenced = c.fenced @ c.sharded in
+  let fenced_violations = violations fenced in
+  check (fenced_violations = 0)
+    "%d violations in the fenced campaign (expected 0)" fenced_violations;
+  check
+    (violations c.negative > 0)
+    "negative control leaked nothing — the churn oracle is not catching \
+     stale reads";
+  (* Every fault path the campaign exists for must actually fire. *)
+  let exercised what counter =
+    check
+      (List.exists (fun cell -> counter cell.c_report > 0) fenced)
+      "%s never exercised" what
+  in
+  exercised "donor failover" (fun r -> r.Harness.provision_donor_failovers);
+  exercised "chunk-mark resume" (fun r -> r.Harness.provision_resumes);
+  exercised "decommission" (fun r -> r.Harness.decommissions_done);
+  let rj = c.cold_rejoin in
+  check
+    (rj.rj_catchup_serving && rj.rj_provision_serving)
+    "a cold rejoin failed to reach serving";
+  check (rj.rj_speedup >= 5.0) "cold-rejoin speedup %.1fx below the 5x gate"
+    rj.rj_speedup;
+  { pass = !failures = []; failures = List.rev !failures }

@@ -18,7 +18,7 @@
       (unfenced re-promotion), then another position's occupant is
       properly decommissioned, with background crash churn.
 
-    The campaign gate: with fencing on and a commit-durable WAL,
+    The campaign gate ({!gate}): with fencing on and a commit-durable WAL,
     {!violations} over every fenced cell must be zero, while the
     {!run_negative} blackout control (fencing off, volatile-suffix WAL)
     must leak at least one stale read. *)
@@ -125,5 +125,24 @@ val cold_rejoin_comparison :
   rejoin_comparison
 (** Two identical worlds with [keys] committed keys; the last replica
     amnesia-crashes cold and rejoins via catch-up in one and chunked
-    provisioning in the other.  Counts protocol rounds — the BENCH gate
+    provisioning in the other.  Counts protocol rounds — {!gate}
     requires [rj_speedup >= 5] at 10k keys. *)
+
+(** {2 Acceptance gate} *)
+
+type campaign = {
+  fenced : cell list;  (** {!run} over the default configs and kinds *)
+  sharded : cell list;  (** {!run_sharded} at its default 3 shards *)
+  negative : cell list;  (** {!run_negative} over the default configs *)
+  cold_rejoin : rejoin_comparison;  (** {!cold_rejoin_comparison} *)
+}
+
+type verdict = { pass : bool; failures : string list }
+
+val gate : campaign -> verdict
+(** The [BENCH_churn.json] acceptance predicate: the default campaign
+    shape (16 fenced cells, 3 sharded, 4 negative); zero violations over
+    every fenced and sharded cell; at least one in the negative control;
+    donor failover, chunk-mark resume and decommission each exercised by
+    some fenced or sharded cell; both cold rejoins reaching serving, with
+    provisioning at least 5x fewer rounds than catch-up. *)

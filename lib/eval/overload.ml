@@ -185,6 +185,17 @@ let find campaign kind mode =
 type verdict = { pass : bool; failures : string list }
 
 let gate campaign =
+  let shape = List.map (fun c -> (c.kind, c.mode)) campaign.cells in
+  if shape <> all_cells then
+    {
+      pass = false;
+      failures =
+        [
+          Printf.sprintf "%d cells (want the %d scenario x mode cells, in order)"
+            (List.length shape) (List.length all_cells);
+        ];
+    }
+  else
   let failures = ref [] in
   let check cond fmt =
     Printf.ksprintf (fun msg -> if not cond then failures := msg :: !failures) fmt

@@ -53,7 +53,8 @@ val find : campaign -> kind -> mode -> cell
 type verdict = { pass : bool; failures : string list }
 
 val gate : campaign -> verdict
-(** The acceptance predicate described above, plus: the protections must
+(** The acceptance predicate described above, plus: the campaign holds
+    exactly the six cells of {!run}, in order; the protections must
     actually engage in the storm cell (nonzero sheds and suppressed
     retries), the protected slow-replica cell must complete at least as
     many operations as the naive one, and every cell must be free of

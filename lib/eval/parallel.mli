@@ -14,17 +14,14 @@
 
     No dependencies beyond the stdlib [Domain]/[Atomic] modules. *)
 
-val default_domains : unit -> int
-(** Domain count used when [?domains] is omitted: the
-    [REPRO_DOMAINS] environment variable when set to a positive integer,
-    otherwise [Domain.recommended_domain_count ()] capped at 4 (evaluation
-    cells are memory-light; more domains than that mostly adds GC noise). *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] applies [f] to every element, running up to
     [domains] applications concurrently, and returns results in input
     order.  An exception raised by any task is re-raised after all domains
-    have joined. *)
+    have joined.  When [?domains] is omitted: the [REPRO_DOMAINS]
+    environment variable when set to a positive integer, otherwise
+    [Domain.recommended_domain_count ()] capped at 4 (evaluation cells are
+    memory-light; more domains than that mostly adds GC noise). *)
 
 val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array variant of {!map}. *)

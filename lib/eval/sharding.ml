@@ -325,19 +325,39 @@ let gate campaign =
   if s16 < scaling_threshold then
     fail "scaling: best S=16 speedup %.2f < %.2f (0.7 x ideal)" s16
       scaling_threshold;
+  let expect what cells want =
+    if List.length cells <> want then
+      fail "%s: %d cells (want %d)" what (List.length cells) want
+  in
+  expect "scaling" campaign.scaling
+    (List.length configs * List.length shard_counts);
+  expect "skew" campaign.skew (List.length configs);
   List.iter
     (fun c ->
+      let name = Config.name_to_string c.config in
       if c.violations > 0 then
-        fail "scaling %s S=%d: %d safety violations"
-          (Config.name_to_string c.config)
-          c.shards c.violations)
+        fail "scaling %s S=%d: %d safety violations" name c.shards
+          c.violations;
+      if c.completed = 0 then
+        fail "scaling %s S=%d: no operation completed" name c.shards;
+      if c.shards = 1 && c.speedup <> 1.0 then
+        fail "scaling %s S=1: speedup %.3f, not the 1.0 baseline" name
+          c.speedup)
     campaign.scaling;
   List.iter
     (fun c ->
+      let name = Config.name_to_string c.sk_config in
       if c.sk_violations > 0 then
-        fail "skew %s S=%d: %d safety violations"
-          (Config.name_to_string c.sk_config)
-          c.sk_shards c.sk_violations)
+        fail "skew %s S=%d: %d safety violations" name c.sk_shards
+          c.sk_violations;
+      if c.sk_completed = 0 then
+        fail "skew %s S=%d: no operation completed" name c.sk_shards;
+      if Array.length c.per_shard_ops <> c.sk_shards then
+        fail "skew %s S=%d: %d-entry per-shard histogram" name c.sk_shards
+          (Array.length c.per_shard_ops);
+      if not (c.imbalance_ratio >= 1.0) then
+        fail "skew %s S=%d: imbalance ratio %.3f below 1" name c.sk_shards
+          c.imbalance_ratio)
     campaign.skew;
   if not campaign.identity.identical then
     fail "identity: S=1 fingerprint diverged from the unsharded harness";
@@ -348,6 +368,8 @@ let gate campaign =
       campaign.atomic_cell.partial_commits;
   if campaign.nonatomic_cell.phantoms = 0 then
     fail "atomicity: negative control produced no phantom increments";
+  if campaign.nonatomic_cell.conserved then
+    fail "atomicity: negative control conserved the increment total";
   if campaign.reconfig.rc_violations > 0 then
     fail "reconfig: %d consistency violations" campaign.reconfig.rc_violations;
   if not campaign.reconfig.well_formed then

@@ -105,13 +105,17 @@ val speedup_at : campaign -> shards:int -> float
 type verdict = { pass : bool; failures : string list }
 
 val gate : campaign -> verdict
-(** The acceptance predicate: scaling ≥ 0.7 × ideal at S=16 on some
-    configuration; zero safety violations in every scaling, skew and
-    reconfig cell; the S=1 fingerprint control identical; the atomic
+(** The acceptance predicate: one scaling cell per configuration and
+    shard count and one skew cell per configuration; scaling ≥ 0.7 ×
+    ideal at S=16 on some configuration, with every S=1 speedup exactly
+    1.0; zero safety violations and at least one completed operation in
+    every scaling and skew cell; each skew cell reporting an S-entry
+    per-shard histogram and an imbalance ratio ≥ 1; zero violations in
+    the reconfig cell; the S=1 fingerprint control identical; the atomic
     transaction cell conserved with no partial commits; the non-atomic
-    negative control showing phantom increments; and the reconfiguration
-    cell completing its split and merge with a well-formed map and no
-    migration failures. *)
+    negative control showing phantom increments and breaking
+    conservation; and the reconfiguration cell completing its split and
+    merge with a well-formed map and no migration failures. *)
 
 val json : campaign -> string
 (** The [BENCH_shard.json] payload (schema ["bench-shard/1"]). *)

@@ -25,7 +25,7 @@ let words_per ~iters f =
    probe's own bookkeeping) spread over thousands of iterations. *)
 let check_budget name ~budget words =
   if words > budget +. 0.05 then
-    Alcotest.failf "%s: %.2f words per call, budget %.0f" name words budget
+    Alcotest.failf "%s: %.2f words per call, budget %g" name words budget
 
 let test_engine_event () =
   let e = Engine.create ~seed:1 () in
@@ -199,6 +199,50 @@ let test_replica_batch_write () =
     (Replica.writes_applied replica);
   check_budget "Prepare_batch + Commit, 32 keys" ~budget:40.0 words
 
+(* The whole-harness probe: minor words per completed op of a seeded §4
+   workload (one client, 2,000 ops, seed 42, failure-free, n = 33 adjusted
+   per configuration), read-only and write-only, measured on a second run
+   after a warm-up run keeps lazy table and plan initialization out.
+   Budgets are the measurement plus 10%.  Each is at most half the figure
+   the same probe measured before the hot-path flattening (commit
+   c0b3564): read 895.4 / 365.4 / 2,600.7 / 1,324.5 and write 2,850.2 /
+   12,300.7 / 3,296.8 / 2,580.5 words. *)
+let harness_budgets =
+  [
+    (* config, read-path words/op, write-path words/op *)
+    (Arbitrary.Config.Unmodified, 153.6, 389.5);
+    (Arbitrary.Config.Mostly_read, 105.4, 1106.7);
+    (Arbitrary.Config.Mostly_write, 287.1, 403.4);
+    (Arbitrary.Config.Arbitrary, 190.1, 365.5);
+  ]
+
+let test_harness_words_per_op () =
+  let words_per_op ~read_fraction name =
+    let s =
+      {
+        (Eval.Batching.scenario ~name ~n:33 ~ops:2_000 ~seed:42 ()) with
+        Replication.Harness.read_fraction;
+      }
+    in
+    ignore (Replication.Harness.run s);
+    let w0 = Gc.minor_words () in
+    let r = Replication.Harness.run s in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "every op completed" 2_000
+      (Replication.Harness.completed r);
+    words /. 2_000.0
+  in
+  List.iter
+    (fun (name, rd_budget, wr_budget) ->
+      let what path =
+        Printf.sprintf "%s %s" (Arbitrary.Config.name_to_string name) path
+      in
+      let rd = words_per_op ~read_fraction:1.0 name in
+      let wr = words_per_op ~read_fraction:0.0 name in
+      check_budget (what "read") ~budget:rd_budget rd;
+      check_budget (what "write") ~budget:wr_budget wr)
+    harness_budgets
+
 let suite =
   [
     Alcotest.test_case "engine event allocates nothing" `Quick
@@ -215,4 +259,6 @@ let suite =
       test_wal_appenders;
     Alcotest.test_case "group-commit batch write within budget" `Quick
       test_replica_batch_write;
+    Alcotest.test_case "harness words per op within budget" `Quick
+      test_harness_words_per_op;
   ]

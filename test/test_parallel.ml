@@ -1,6 +1,5 @@
 module Parallel = Eval.Parallel
 module Chaos = Eval.Chaos
-module Config = Arbitrary.Config
 module Rng = Dsutil.Rng
 
 let test_order_preserved () =
@@ -44,12 +43,12 @@ let test_exception_propagates () =
            (fun i -> if i = 7 then failwith "boom" else i)
            (List.init 20 Fun.id)))
 
-(* The real consumer: a small chaos campaign must render byte-identically
-   whether it ran on one domain or several. *)
+(* The real consumer: a small chaos campaign over every configuration
+   must render byte-identically whether it ran on one domain or
+   several. *)
 let test_chaos_byte_identical () =
   let campaign domains =
     Chaos.run ~n:9 ~clients:1 ~ops:4 ~horizon:400.0
-      ~configs:[ Config.Unmodified ]
       ~schedules:[ Chaos.crashes_schedule; Chaos.loss_schedule ]
       ~domains ()
   in

@@ -339,10 +339,11 @@ let test_harness_with_read_repair_under_churn () =
    trace and the completed-op count must match the level-barrier run
    exactly.  (Multi-client runs legitimately diverge: pipelining shifts
    which messages draw which latencies, so concurrent ops interleave
-   differently.) *)
+   differently.)  Inputs: the figure-1 tree under two seeds, and the four
+   §4 configurations at n = 33 on the 2,000-op batching benchmark
+   workload. *)
 let test_pipelined_reads_equivalent () =
-  let trace ~seed ~pipeline =
-    let s = Harness.default_scenario ~proto:(fig1_proto ()) in
+  let trace ~pipeline s =
     let acc = ref [] in
     let r =
       Harness.run
@@ -350,10 +351,7 @@ let test_pipelined_reads_equivalent () =
           acc := (key, value, ts.Timestamp.version, ts.Timestamp.sid) :: !acc)
         {
           s with
-          Harness.seed;
-          n_clients = 1;
-          ops_per_client = 150;
-          coordinator =
+          Harness.coordinator =
             {
               s.Harness.coordinator with
               Coordinator.pipeline_levels = pipeline;
@@ -362,14 +360,31 @@ let test_pipelined_reads_equivalent () =
     in
     (List.rev !acc, Harness.completed r)
   in
+  let figure1 seed =
+    let s = Harness.default_scenario ~proto:(fig1_proto ()) in
+    ( Printf.sprintf "figure 1, seed %d" seed,
+      { s with Harness.seed; n_clients = 1; ops_per_client = 150 } )
+  in
+  let section4 name =
+    ( Arbitrary.Config.name_to_string name,
+      Eval.Batching.scenario ~name ~n:33 ~ops:2_000 ~seed:42 () )
+  in
   List.iter
-    (fun seed ->
-      let barrier, done_b = trace ~seed ~pipeline:false in
-      let piped, done_p = trace ~seed ~pipeline:true in
-      Alcotest.(check bool) "reads were traced" true (List.length barrier > 0);
-      Alcotest.(check int) "same completed ops" done_b done_p;
-      Alcotest.(check bool) "identical read results" true (barrier = piped))
-    [ 7; 23 ]
+    (fun (input, s) ->
+      let what fact = Printf.sprintf "%s: %s" input fact in
+      let barrier, done_b = trace ~pipeline:false s in
+      let piped, done_p = trace ~pipeline:true s in
+      Alcotest.(check bool) (what "reads were traced") true
+        (List.length barrier > 0);
+      Alcotest.(check int) (what "same completed ops") done_b done_p;
+      Alcotest.(check bool) (what "identical read results") true
+        (barrier = piped))
+    ([ figure1 7; figure1 23 ]
+    @ List.map section4
+        [
+          Arbitrary.Config.Unmodified; Arbitrary.Config.Mostly_read;
+          Arbitrary.Config.Mostly_write; Arbitrary.Config.Arbitrary;
+        ])
 
 (* Pipelining under churn and loss must stay safe even where results can
    legitimately differ from the barrier schedule. *)
