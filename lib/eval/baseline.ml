@@ -81,7 +81,7 @@ let with_span_clock obs =
   let last_end = ref 0.0 in
   Obs.add_sink obs
     (Obs.Sink.make (fun sp ->
-         match sp.Obs.Span.ended with
+         match Obs.Span.ended sp with
          | Some e -> if e > !last_end then last_end := e
          | None -> ()));
   last_end

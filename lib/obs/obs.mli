@@ -19,6 +19,10 @@
     - [phase.<kind>.latency] (histogram), [phase.<kind>.timeout] (counter)
     - [backoff.wait] (histogram of individual backoff pauses)
 
+    Each of these is looked up in the registry the first time it is
+    touched and held by handle afterwards, so a span event builds no
+    metric name and hashes nothing.
+
     Call sites add their own counters on top (e.g. [net.sent],
     [coord.deadline_exceeded]); see docs/PROTOCOL.md for the full
     catalogue. *)
@@ -55,6 +59,12 @@ val span : t -> op:string -> site:int -> ?key:int -> unit -> Span.t
 val phase : t -> Span.t -> kind:Span.phase_kind -> ?quorum:int list -> unit -> unit
 (** Begin a phase.  A still-open previous phase is closed first (not
     timed out) so a span never has two open phases. *)
+
+val phase_members :
+  t -> Span.t -> kind:Span.phase_kind -> int array -> int -> unit
+(** [phase_members t sp ~kind members len] is {!phase} with the quorum
+    copied from the non-negative entries of [members.(0 .. len-1)]
+    (negative entries are a caller's empty slots).  Builds no list. *)
 
 val set_result_ts : t -> Span.t -> version:int -> sid:int -> unit
 (** Record the timestamp the operation returned (read: newest observed;

@@ -125,7 +125,7 @@ let send_repairs t (r : kind Round.round) =
       if (not (v = 0 && s = 0)) && Timestamp.newer_flat v s version sid
       then begin
         t.repairs_sent <- t.repairs_sent + 1;
-        Round.ocount t.e ".repairs_sent";
+        Round.ocount t.e t.e.oc.repairs_sent;
         Network.send t.e.net ~src:t.e.site ~dst:site
           (Message.Repair
              {
@@ -291,7 +291,7 @@ let write t ?(retry = false) ~key ~value k =
 let batch t ~retry ~op ~keys ~last kind =
   if not retry then Round.budget_attempt t.e;
   t.batches <- t.batches + 1;
-  Round.ocount t.e ".batches";
+  Round.ocount t.e t.e.oc.batches;
   let r = Round.alloc t.e ~kind ~n:(List.length keys) ~last in
   List.iteri
     (fun i key ->

@@ -117,6 +117,52 @@ type prov = {
    [Tail_request] retried until answered. *)
 type tail_wait = { tw_op : int; tw_donor : int; tw_k : unit -> unit }
 
+(* The replica's obs metrics: each is looked up in the registry on first
+   use and held from then on.  Never forced without an observer. *)
+type ometrics = {
+  m_catchup_runs : Obs.Metrics.counter Lazy.t;
+  m_catchup_duration : Obs.Metrics.histogram Lazy.t;
+  m_catchup_abandoned : Obs.Metrics.counter Lazy.t;
+  m_catchup_keys_installed : Obs.Metrics.counter Lazy.t;
+  m_rejoin_failed : Obs.Metrics.counter Lazy.t;
+  m_recoveries : Obs.Metrics.counter Lazy.t;
+  m_shed : Obs.Metrics.counter Lazy.t;
+  m_stale_inc_nacked : Obs.Metrics.counter Lazy.t;
+  m_decommissioned : Obs.Metrics.counter Lazy.t;
+  m_provision_starts : Obs.Metrics.counter Lazy.t;
+  m_provision_runs : Obs.Metrics.counter Lazy.t;
+  m_provision_duration : Obs.Metrics.histogram Lazy.t;
+  m_provision_chunks : Obs.Metrics.counter Lazy.t;
+  m_provision_resumes : Obs.Metrics.counter Lazy.t;
+  m_provision_donor_failovers : Obs.Metrics.counter Lazy.t;
+  m_provision_stale : Obs.Metrics.counter Lazy.t;
+}
+
+let ometrics obs =
+  let m () = Obs.metrics (Option.get obs) in
+  let c name = lazy (Obs.Metrics.counter (m ()) name) in
+  let h name = lazy (Obs.Metrics.histogram (m ()) name) in
+  {
+    m_catchup_runs = c "replica.catchup.runs";
+    m_catchup_duration = h "replica.catchup.duration";
+    m_catchup_abandoned = c "replica.catchup.abandoned";
+    m_catchup_keys_installed = c "replica.catchup.keys_installed";
+    m_rejoin_failed = c "replica.rejoin.failed";
+    m_recoveries = c "replica.recoveries";
+    m_shed = c "replica.shed";
+    m_stale_inc_nacked = c "replica.stale_inc.nacked";
+    m_decommissioned = c "replica.decommissioned";
+    m_provision_starts = c "provision.starts";
+    m_provision_runs = c "provision.runs";
+    m_provision_duration = h "provision.duration";
+    m_provision_chunks = c "provision.chunks";
+    m_provision_resumes = c "provision.resumes";
+    m_provision_donor_failovers = c "provision.donor_failovers";
+    m_provision_stale = c "provision.stale";
+  }
+
+let unobserved = ometrics None
+
 type t = {
   site : int;
   net : Message.t Network.t;
@@ -129,6 +175,7 @@ type t = {
   proto : Protocol.t option;  (* private fork, for catch-up quorums *)
   rng : Rng.t option;  (* split from the engine only when catch-up is on *)
   obs : Obs.t option;
+  om : ometrics;
   mutable status : status;
   mutable incarnation : int;
   mutable lost_state : bool;  (* amnesia crash happened; recovery pending *)
@@ -164,15 +211,15 @@ type t = {
 let engine t = Network.engine t.net
 let now t = Engine.now (engine t)
 
-let ocount t name =
+let ocount t counter =
   match t.obs with
   | None -> ()
-  | Some obs -> Obs.Metrics.incr (Obs.Metrics.counter (Obs.metrics obs) name)
+  | Some _ -> Obs.Metrics.incr (Lazy.force counter)
 
-let ohist t name v =
+let ohist t histogram v =
   match t.obs with
   | None -> ()
-  | Some obs -> Obs.Metrics.observe (Obs.Metrics.histogram (Obs.metrics obs) name) v
+  | Some _ -> Obs.Metrics.observe (Lazy.force histogram) v
 
 let wal_install t ~key ~version ~sid ~value =
   match t.wal with
@@ -202,8 +249,8 @@ let catchup_view t proto =
 let finish_catchup t ~t0 =
   t.status <- Serving;
   t.catchup_runs <- t.catchup_runs + 1;
-  ocount t "replica.catchup.runs";
-  ohist t "replica.catchup.duration" (now t -. t0)
+  ocount t t.om.m_catchup_runs;
+  ohist t t.om.m_catchup_duration (now t -. t0)
 
 let rec catchup_key t ~inc ~keys ~attempt ~t0 =
   if t.incarnation = inc && t.status = Recovering then begin
@@ -254,10 +301,10 @@ and catchup_retry t ~inc ~keys ~attempt ~t0 =
        refused), visibly stuck rather than "recovering" forever, until
        the next crash/recover cycle starts a fresh attempt. *)
     t.catchup_abandoned <- t.catchup_abandoned + 1;
-    ocount t "replica.catchup.abandoned";
+    ocount t t.om.m_catchup_abandoned;
     t.status <- Failed_rejoin;
     t.failed_rejoins <- t.failed_rejoins + 1;
-    ocount t "replica.rejoin.failed"
+    ocount t t.om.m_rejoin_failed
   end
   else begin
     let delay =
@@ -285,7 +332,7 @@ let catchup_gather_reply t g ~src ~ts ~value =
         wal_install t ~key:g.g_key ~version:g.g_max_ts.version
           ~sid:g.g_max_ts.sid ~value:g.g_max_value;
         t.catchup_keys_installed <- t.catchup_keys_installed + 1;
-        ocount t "replica.catchup.keys_installed"
+        ocount t t.om.m_catchup_keys_installed
       end;
       catchup_key t ~inc:t.incarnation ~keys:g.g_rest ~attempt:0 ~t0:g.g_t0
     end
@@ -342,7 +389,7 @@ let apply_tail_entries t entries =
 
 let prov_stale t =
   t.provision_stale <- t.provision_stale + 1;
-  ocount t "provision.stale"
+  ocount t t.om.m_provision_stale
 
 let rec prov_request t p =
   (* (Re)issue the transfer from the current cursor under a fresh op id —
@@ -387,10 +434,10 @@ and prov_stalled t p =
     match prov_pick_donor t p with
     | Some d when d <> p.p_donor ->
       t.provision_failovers <- t.provision_failovers + 1;
-      ocount t "provision.donor_failovers";
+      ocount t t.om.m_provision_donor_failovers;
       if p.p_next_chunk > 0 && not p.p_tailing then begin
         t.provision_resumes <- t.provision_resumes + 1;
-        ocount t "provision.resumes"
+        ocount t t.om.m_provision_resumes
       end;
       p.p_donor <- d;
       p.p_dinc <- -1
@@ -443,7 +490,7 @@ let prov_chunk t p ~src ~chunk ~n_chunks ~wal_index ~dinc ~entries =
       Wal.install_batch wal ~mark:(chunk, p.p_wal_index) entries
     | None -> ());
     t.provision_chunks <- t.provision_chunks + 1;
-    ocount t "provision.chunks";
+    ocount t t.om.m_provision_chunks;
     p.p_next_chunk <- chunk + 1;
     if p.p_next_chunk >= n_chunks then begin
       p.p_tailing <- true;
@@ -483,8 +530,8 @@ let prov_tail t p ~src ~dinc ~next_index ~entries =
     | None -> ());
     t.prov <- None;
     t.provision_runs <- t.provision_runs + 1;
-    ocount t "provision.runs";
-    ohist t "provision.duration" (now t -. p.p_t0);
+    ocount t t.om.m_provision_runs;
+    ohist t t.om.m_provision_duration (now t -. p.p_t0);
     if t.status = Recovering then t.status <- Serving;
     match p.p_done with Some k -> k () | None -> ()
   end
@@ -533,11 +580,11 @@ let start_provision t ?(pinned = false) ?donor ?on_done () =
          keeps re-picking until someone answers *)
       p.p_donor <- (if t.site = 0 then 1 else 0)));
   t.prov <- Some p;
-  ocount t "provision.starts";
+  ocount t t.om.m_provision_starts;
   if resume_chunk > 0 then begin
     (* restarting from the last durable chunk of an interrupted transfer *)
     t.provision_resumes <- t.provision_resumes + 1;
-    ocount t "provision.resumes"
+    ocount t t.om.m_provision_resumes
   end;
   if resume_chunk >= n_chunks && resume_index <> max_int then begin
     (* every chunk was already durable: only the tail is missing *)
@@ -570,7 +617,7 @@ let on_recover t =
   if t.lost_state then begin
     t.lost_state <- false;
     t.incarnation <- t.incarnation + 1;
-    ocount t "replica.recoveries";
+    ocount t t.om.m_recoveries;
     (match t.wal with
     | Some wal ->
       let n = Wal.replay wal t.store in
@@ -611,7 +658,7 @@ let is_peer t src = match t.universe with Some n -> src < n | None -> false
 
 let shed t ~dst ~op =
   t.sheds <- t.sheds + 1;
-  ocount t "replica.shed";
+  ocount t t.om.m_shed;
   send t ~dst (Message.Busy { op })
 
 (* Watermark admission: once the ingress queue is deeper than the
@@ -664,7 +711,7 @@ let handle_serving t ~src msg =
          volatile state is gone.  Refuse so the coordinator retries the
          whole write instead of counting a lost write as applied. *)
       t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-      ocount t "replica.stale_inc.nacked";
+      ocount t t.om.m_stale_inc_nacked;
       nack t ~dst:src ~op "stale-incarnation"
     end
     else begin
@@ -781,7 +828,7 @@ let handle_recovering t ~src msg =
     nack t ~dst:src ~op "recovering"
   | Commit { op; _ } ->
     t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t "replica.stale_inc.nacked";
+    ocount t t.om.m_stale_inc_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
@@ -831,7 +878,7 @@ let handle_decommissioned t ~src msg =
     nack t ~dst:src ~op "decommissioned"
   | Commit { op; _ } ->
     t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t "replica.stale_inc.nacked";
+    ocount t t.om.m_stale_inc_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -959,6 +1006,7 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
       proto;
       rng;
       obs;
+      om = (match obs with None -> unobserved | Some _ -> ometrics obs);
       status = Serving;
       incarnation = 0;
       lost_state = false;
@@ -1036,7 +1084,7 @@ let decommission t =
   t.prov <- None;
   t.gather <- None;
   t.tail_wait <- None;
-  ocount t "replica.decommissioned"
+  ocount t t.om.m_decommissioned
 
 let site t = t.site
 let store t = t.store
