@@ -14,7 +14,11 @@
    [Eval.Sharding.gate]) fails.  Throughput and allocation claims live
    elsewhere, where they can be checked on any machine: words per op in
    test/test_alloc.ml, batching's messages per op in
-   test/test_batching.ml, and calibrated wall clock in perfbench. *)
+   test/test_batching.ml, and calibrated wall clock in perfbench.
+
+   Stdout is deterministic: two runs print the same bytes.  The wall-clock
+   lines (the shard campaign's elapsed time and the micro-benchmark
+   timings) go to stderr. *)
 
 open Bechamel
 
@@ -184,7 +188,8 @@ let shard_section () =
   let t0 = Unix.gettimeofday () in
   let campaign = Eval.Sharding.run () in
   print_string (Eval.Sharding.table campaign);
-  Printf.printf "\ncampaign wall-clock %.2fs\n" (Unix.gettimeofday () -. t0);
+  (* wall clock differs run to run: stderr, so stdout stays diffable *)
+  Printf.eprintf "campaign wall-clock %.2fs\n" (Unix.gettimeofday () -. t0);
   write_artifact "BENCH_shard.json" (Eval.Sharding.json campaign);
   enforce "SHARD" (Eval.Sharding.gate campaign).Eval.Sharding.failures
 
@@ -238,7 +243,7 @@ let bench_tests () =
   ]
 
 let run_benchmarks () =
-  hr "Micro-benchmarks (bechamel, monotonic clock)";
+  hr "Micro-benchmarks (bechamel, monotonic clock; timings on stderr)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -263,10 +268,10 @@ let run_benchmarks () =
     results;
   List.iter
     (fun (name, ns) ->
-      if ns < 1_000.0 then Printf.printf "%-55s %10.1f ns/run\n" name ns
+      if ns < 1_000.0 then Printf.eprintf "%-55s %10.1f ns/run\n" name ns
       else if ns < 1_000_000.0 then
-        Printf.printf "%-55s %10.2f us/run\n" name (ns /. 1_000.0)
-      else Printf.printf "%-55s %10.2f ms/run\n" name (ns /. 1_000_000.0))
+        Printf.eprintf "%-55s %10.2f us/run\n" name (ns /. 1_000.0)
+      else Printf.eprintf "%-55s %10.2f ms/run\n" name (ns /. 1_000_000.0))
     (List.sort compare !rows)
 
 let () =

@@ -11,6 +11,7 @@ type t = {
   m_counters : (string, counter) Hashtbl.t;
   m_gauges : (string, gauge) Hashtbl.t;
   m_histograms : (string, histogram) Hashtbl.t;
+  mutable m_sources : ((string -> int -> unit) -> unit) list;
 }
 
 let create () =
@@ -18,6 +19,7 @@ let create () =
     m_counters = Hashtbl.create 32;
     m_gauges = Hashtbl.create 8;
     m_histograms = Hashtbl.create 16;
+    m_sources = [];
   }
 
 let get_or_create table name make =
@@ -36,10 +38,18 @@ let add c n = c.c_value <- c.c_value + n
 let counter_name c = c.c_name
 let counter_value c = c.c_value
 
+let source t report = t.m_sources <- report :: t.m_sources
+
+(* Every (name, value) pair: the registry's own counters, then each
+   source's reports.  A name may come up more than once; readers sum. *)
+let iter_counters t f =
+  Hashtbl.iter (fun name c -> f name c.c_value) t.m_counters;
+  List.iter (fun report -> report f) t.m_sources
+
 let counter_of t name =
-  match Hashtbl.find_opt t.m_counters name with
-  | Some c -> c.c_value
-  | None -> 0
+  let total = ref 0 in
+  iter_counters t (fun n v -> if String.equal n name then total := !total + v);
+  !total
 
 let gauge t name =
   get_or_create t.m_gauges name (fun () -> { g_name = name; g_value = 0.0 })
@@ -68,6 +78,12 @@ let sorted_bindings table value =
   Hashtbl.fold (fun name v acc -> (name, value v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = sorted_bindings t.m_counters (fun c -> c.c_value)
+let counters t =
+  let sums = Hashtbl.create 64 in
+  iter_counters t (fun name v ->
+      let prev = Option.value (Hashtbl.find_opt sums name) ~default:0 in
+      Hashtbl.replace sums name (prev + v));
+  sorted_bindings sums Fun.id
+
 let gauges t = sorted_bindings t.m_gauges (fun g -> g.g_value)
 let histograms t = sorted_bindings t.m_histograms Fun.id

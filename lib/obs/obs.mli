@@ -23,9 +23,12 @@
     touched and held by handle afterwards, so a span event builds no
     metric name and hashes nothing.
 
-    Call sites add their own counters on top (e.g. [net.sent],
-    [coord.deadline_exceeded]); see docs/PROTOCOL.md for the full
-    catalogue. *)
+    These span-driven metrics and every histogram are registry-owned.
+    Component counters ([net.sent], [replica.shed],
+    [coord.deadline_exceeded], …) are not: each component keeps the count
+    in its own [int] field and registers a counter source
+    ({!Metrics.source}), which the registry reads when it is exported.
+    See docs/PROTOCOL.md §8 for the full catalogue. *)
 
 module Metrics : module type of struct
   include Metrics

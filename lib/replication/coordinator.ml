@@ -125,7 +125,6 @@ let send_repairs t (r : kind Round.round) =
       if (not (v = 0 && s = 0)) && Timestamp.newer_flat v s version sid
       then begin
         t.repairs_sent <- t.repairs_sent + 1;
-        Round.ocount t.e t.e.oc.repairs_sent;
         Network.send t.e.net ~src:t.e.site ~dst:site
           (Message.Repair
              {
@@ -244,6 +243,12 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       write_latency = Stats.create ();
     }
   in
+  (match obs with
+  | None -> ()
+  | Some o ->
+    Obs.Metrics.source (Obs.metrics o) (fun report ->
+        if t.repairs_sent > 0 then report "coord.repairs_sent" t.repairs_sent;
+        if t.batches > 0 then report "coord.batches" t.batches));
   e.levels <- level_plan_of t proto;
   e.on_query <- (fun r -> on_query t r);
   e.finished <- (fun r ok -> finished t r ok);
@@ -291,7 +296,6 @@ let write t ?(retry = false) ~key ~value k =
 let batch t ~retry ~op ~keys ~last kind =
   if not retry then Round.budget_attempt t.e;
   t.batches <- t.batches + 1;
-  Round.ocount t.e t.e.oc.batches;
   let r = Round.alloc t.e ~kind ~n:(List.length keys) ~last in
   List.iteri
     (fun i key ->

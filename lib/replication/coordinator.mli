@@ -103,9 +103,11 @@ val create :
     the config-selected failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/
     commit and retries, plus a lock phase when [locks] is in force) — a
-    batch opens one span per key it names, duplicates included — and the
-    counters [coord.deadline_exceeded] and [coord.repairs_sent] are
-    maintained; without it no instrumentation work is done. *)
+    batch opens one span per key it names, duplicates included — and its
+    counters are registered as a source ({!Obs.Metrics.source}):
+    [coord.repairs_sent], [coord.batches] and {!Round.create}'s
+    [coord.*] counters, each reported once nonzero; without it no
+    instrumentation work is done. *)
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
 
@@ -197,7 +199,7 @@ type metrics = {
           fast instead) *)
   batches : int;
       (** multi-key batches executed ({!read_batch}/{!write_batch} with
-          >= 2 keys; singleton delegations are not counted).  Mirrored as
+          >= 2 keys; singleton delegations are not counted).  Reported as
           the [coord.batches] metric. *)
   read_latency : Dsutil.Stats.t;
   write_latency : Dsutil.Stats.t;

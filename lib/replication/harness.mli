@@ -264,7 +264,7 @@ val run :
   scenario ->
   report
 (** With [obs], the harness points its clock at the engine's virtual time,
-    mirrors the network counters into its registry, and hands it to every
+    registers the network counters with its registry, and hands it to every
     client coordinator, so spans and phase-latency histograms cover the
     whole run.  Attaching [obs] never perturbs the simulation: it draws no
     randomness and schedules no events.

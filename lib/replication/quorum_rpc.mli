@@ -54,9 +54,9 @@ val create :
     [observe]s its sender, every phase timeout [suspect]s the members
     still waiting.  With [obs], {!query} and {!write} are traced as
     [rpc.read] / [rpc.write] spans (one span per operation, covering a
-    write's version query, prepare and commit phases) and the counter
-    [rpc.deadline_exceeded] is maintained; without it the endpoint does no
-    instrumentation work.
+    write's version query, prepare and commit phases) and {!Round.create}'s
+    [rpc.*] counters (e.g. [rpc.deadline_exceeded]) are registered as a
+    source; without it the endpoint does no instrumentation work.
 
     [budget] (a shared {!Detect.Budget}) gates every backoff retry —
     commit-phase resends excepted — failing the operation fast when the

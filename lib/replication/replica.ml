@@ -117,52 +117,6 @@ type prov = {
    [Tail_request] retried until answered. *)
 type tail_wait = { tw_op : int; tw_donor : int; tw_k : unit -> unit }
 
-(* The replica's obs metrics: each is looked up in the registry on first
-   use and held from then on.  Never forced without an observer. *)
-type ometrics = {
-  m_catchup_runs : Obs.Metrics.counter Lazy.t;
-  m_catchup_duration : Obs.Metrics.histogram Lazy.t;
-  m_catchup_abandoned : Obs.Metrics.counter Lazy.t;
-  m_catchup_keys_installed : Obs.Metrics.counter Lazy.t;
-  m_rejoin_failed : Obs.Metrics.counter Lazy.t;
-  m_recoveries : Obs.Metrics.counter Lazy.t;
-  m_shed : Obs.Metrics.counter Lazy.t;
-  m_stale_inc_nacked : Obs.Metrics.counter Lazy.t;
-  m_decommissioned : Obs.Metrics.counter Lazy.t;
-  m_provision_starts : Obs.Metrics.counter Lazy.t;
-  m_provision_runs : Obs.Metrics.counter Lazy.t;
-  m_provision_duration : Obs.Metrics.histogram Lazy.t;
-  m_provision_chunks : Obs.Metrics.counter Lazy.t;
-  m_provision_resumes : Obs.Metrics.counter Lazy.t;
-  m_provision_donor_failovers : Obs.Metrics.counter Lazy.t;
-  m_provision_stale : Obs.Metrics.counter Lazy.t;
-}
-
-let ometrics obs =
-  let m () = Obs.metrics (Option.get obs) in
-  let c name = lazy (Obs.Metrics.counter (m ()) name) in
-  let h name = lazy (Obs.Metrics.histogram (m ()) name) in
-  {
-    m_catchup_runs = c "replica.catchup.runs";
-    m_catchup_duration = h "replica.catchup.duration";
-    m_catchup_abandoned = c "replica.catchup.abandoned";
-    m_catchup_keys_installed = c "replica.catchup.keys_installed";
-    m_rejoin_failed = c "replica.rejoin.failed";
-    m_recoveries = c "replica.recoveries";
-    m_shed = c "replica.shed";
-    m_stale_inc_nacked = c "replica.stale_inc.nacked";
-    m_decommissioned = c "replica.decommissioned";
-    m_provision_starts = c "provision.starts";
-    m_provision_runs = c "provision.runs";
-    m_provision_duration = h "provision.duration";
-    m_provision_chunks = c "provision.chunks";
-    m_provision_resumes = c "provision.resumes";
-    m_provision_donor_failovers = c "provision.donor_failovers";
-    m_provision_stale = c "provision.stale";
-  }
-
-let unobserved = ometrics None
-
 type t = {
   site : int;
   net : Message.t Network.t;
@@ -174,8 +128,8 @@ type t = {
   group_commit : bool;  (* one WAL durability point per batch *)
   proto : Protocol.t option;  (* private fork, for catch-up quorums *)
   rng : Rng.t option;  (* split from the engine only when catch-up is on *)
-  obs : Obs.t option;
-  om : ometrics;
+  catchup_duration : Obs.Metrics.histogram Lazy.t;
+  provision_duration : Obs.Metrics.histogram Lazy.t;
   mutable status : status;
   mutable incarnation : int;
   mutable lost_state : bool;  (* amnesia crash happened; recovery pending *)
@@ -200,26 +154,31 @@ type t = {
   mutable last_tail_index : int;  (* newest donor cut this replica holds *)
   mutable catchup_rounds : int;
   mutable failed_rejoins : int;
+  mutable provision_starts : int;
   mutable provision_runs : int;
   mutable provision_chunks : int;
   mutable provision_resumes : int;
   mutable provision_failovers : int;
   mutable provision_stale : int;
   mutable provision_rounds : int;
+  mutable decommissions : int;
 }
 
 let engine t = Network.engine t.net
 let now t = Engine.now (engine t)
 
-let ocount t counter =
-  match t.obs with
-  | None -> ()
-  | Some _ -> Obs.Metrics.incr (Lazy.force counter)
+(* A histogram handle looked up in the registry on first use; without an
+   observer, one shared handle that [ohist] never forces. *)
+let unobserved : Obs.Metrics.histogram Lazy.t =
+  lazy (invalid_arg "Replica: histogram without an observer")
 
-let ohist t histogram v =
-  match t.obs with
-  | None -> ()
-  | Some _ -> Obs.Metrics.observe (Lazy.force histogram) v
+let histogram obs name =
+  match obs with
+  | None -> unobserved
+  | Some o -> lazy (Obs.Metrics.histogram (Obs.metrics o) name)
+
+let ohist histogram v =
+  if histogram != unobserved then Obs.Metrics.observe (Lazy.force histogram) v
 
 let wal_install t ~key ~version ~sid ~value =
   match t.wal with
@@ -249,8 +208,7 @@ let catchup_view t proto =
 let finish_catchup t ~t0 =
   t.status <- Serving;
   t.catchup_runs <- t.catchup_runs + 1;
-  ocount t t.om.m_catchup_runs;
-  ohist t t.om.m_catchup_duration (now t -. t0)
+  ohist t.catchup_duration (now t -. t0)
 
 let rec catchup_key t ~inc ~keys ~attempt ~t0 =
   if t.incarnation = inc && t.status = Recovering then begin
@@ -301,10 +259,8 @@ and catchup_retry t ~inc ~keys ~attempt ~t0 =
        refused), visibly stuck rather than "recovering" forever, until
        the next crash/recover cycle starts a fresh attempt. *)
     t.catchup_abandoned <- t.catchup_abandoned + 1;
-    ocount t t.om.m_catchup_abandoned;
     t.status <- Failed_rejoin;
-    t.failed_rejoins <- t.failed_rejoins + 1;
-    ocount t t.om.m_rejoin_failed
+    t.failed_rejoins <- t.failed_rejoins + 1
   end
   else begin
     let delay =
@@ -331,8 +287,7 @@ let catchup_gather_reply t g ~src ~ts ~value =
       then begin
         wal_install t ~key:g.g_key ~version:g.g_max_ts.version
           ~sid:g.g_max_ts.sid ~value:g.g_max_value;
-        t.catchup_keys_installed <- t.catchup_keys_installed + 1;
-        ocount t t.om.m_catchup_keys_installed
+        t.catchup_keys_installed <- t.catchup_keys_installed + 1
       end;
       catchup_key t ~inc:t.incarnation ~keys:g.g_rest ~attempt:0 ~t0:g.g_t0
     end
@@ -388,8 +343,7 @@ let apply_tail_entries t entries =
   | _ -> ()
 
 let prov_stale t =
-  t.provision_stale <- t.provision_stale + 1;
-  ocount t t.om.m_provision_stale
+  t.provision_stale <- t.provision_stale + 1
 
 let rec prov_request t p =
   (* (Re)issue the transfer from the current cursor under a fresh op id —
@@ -434,11 +388,8 @@ and prov_stalled t p =
     match prov_pick_donor t p with
     | Some d when d <> p.p_donor ->
       t.provision_failovers <- t.provision_failovers + 1;
-      ocount t t.om.m_provision_donor_failovers;
-      if p.p_next_chunk > 0 && not p.p_tailing then begin
+      if p.p_next_chunk > 0 && not p.p_tailing then
         t.provision_resumes <- t.provision_resumes + 1;
-        ocount t t.om.m_provision_resumes
-      end;
       p.p_donor <- d;
       p.p_dinc <- -1
     | _ -> ()
@@ -490,7 +441,6 @@ let prov_chunk t p ~src ~chunk ~n_chunks ~wal_index ~dinc ~entries =
       Wal.install_batch wal ~mark:(chunk, p.p_wal_index) entries
     | None -> ());
     t.provision_chunks <- t.provision_chunks + 1;
-    ocount t t.om.m_provision_chunks;
     p.p_next_chunk <- chunk + 1;
     if p.p_next_chunk >= n_chunks then begin
       p.p_tailing <- true;
@@ -530,8 +480,7 @@ let prov_tail t p ~src ~dinc ~next_index ~entries =
     | None -> ());
     t.prov <- None;
     t.provision_runs <- t.provision_runs + 1;
-    ocount t t.om.m_provision_runs;
-    ohist t t.om.m_provision_duration (now t -. p.p_t0);
+    ohist t.provision_duration (now t -. p.p_t0);
     if t.status = Recovering then t.status <- Serving;
     match p.p_done with Some k -> k () | None -> ()
   end
@@ -580,12 +529,9 @@ let start_provision t ?(pinned = false) ?donor ?on_done () =
          keeps re-picking until someone answers *)
       p.p_donor <- (if t.site = 0 then 1 else 0)));
   t.prov <- Some p;
-  ocount t t.om.m_provision_starts;
-  if resume_chunk > 0 then begin
-    (* restarting from the last durable chunk of an interrupted transfer *)
-    t.provision_resumes <- t.provision_resumes + 1;
-    ocount t t.om.m_provision_resumes
-  end;
+  t.provision_starts <- t.provision_starts + 1;
+  (* restarting from the last durable chunk of an interrupted transfer *)
+  if resume_chunk > 0 then t.provision_resumes <- t.provision_resumes + 1;
   if resume_chunk >= n_chunks && resume_index <> max_int then begin
     (* every chunk was already durable: only the tail is missing *)
     p.p_tailing <- true;
@@ -617,7 +563,6 @@ let on_recover t =
   if t.lost_state then begin
     t.lost_state <- false;
     t.incarnation <- t.incarnation + 1;
-    ocount t t.om.m_recoveries;
     (match t.wal with
     | Some wal ->
       let n = Wal.replay wal t.store in
@@ -658,7 +603,6 @@ let is_peer t src = match t.universe with Some n -> src < n | None -> false
 
 let shed t ~dst ~op =
   t.sheds <- t.sheds + 1;
-  ocount t t.om.m_shed;
   send t ~dst (Message.Busy { op })
 
 (* Watermark admission: once the ingress queue is deeper than the
@@ -711,7 +655,6 @@ let handle_serving t ~src msg =
          volatile state is gone.  Refuse so the coordinator retries the
          whole write instead of counting a lost write as applied. *)
       t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-      ocount t t.om.m_stale_inc_nacked;
       nack t ~dst:src ~op "stale-incarnation"
     end
     else begin
@@ -828,7 +771,6 @@ let handle_recovering t ~src msg =
     nack t ~dst:src ~op "recovering"
   | Commit { op; _ } ->
     t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t t.om.m_stale_inc_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
@@ -878,7 +820,6 @@ let handle_decommissioned t ~src msg =
     nack t ~dst:src ~op "decommissioned"
   | Commit { op; _ } ->
     t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t t.om.m_stale_inc_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -966,6 +907,25 @@ let on_overflow t ~src msg =
     shed t ~dst:src ~op
   | _ -> ()
 
+(* The replica's counter source: every count lives in its own field and
+   is reported once nonzero, so the registry lists what the run did. *)
+let report_counters t report =
+  let c name v = if v > 0 then report name v in
+  c "replica.catchup.runs" t.catchup_runs;
+  c "replica.catchup.abandoned" t.catchup_abandoned;
+  c "replica.catchup.keys_installed" t.catchup_keys_installed;
+  c "replica.rejoin.failed" t.failed_rejoins;
+  c "replica.recoveries" t.incarnation;
+  c "replica.shed" t.sheds;
+  c "replica.stale_inc.nacked" t.stale_commits_nacked;
+  c "replica.decommissioned" t.decommissions;
+  c "provision.starts" t.provision_starts;
+  c "provision.runs" t.provision_runs;
+  c "provision.chunks" t.provision_chunks;
+  c "provision.resumes" t.provision_resumes;
+  c "provision.donor_failovers" t.provision_failovers;
+  c "provision.stale" t.provision_stale
+
 let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
   let proto, rng =
     match recovery with
@@ -1005,8 +965,8 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
       group_commit;
       proto;
       rng;
-      obs;
-      om = (match obs with None -> unobserved | Some _ -> ometrics obs);
+      catchup_duration = histogram obs "replica.catchup.duration";
+      provision_duration = histogram obs "provision.duration";
       status = Serving;
       incarnation = 0;
       lost_state = false;
@@ -1028,14 +988,19 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
       last_tail_index = 0;
       catchup_rounds = 0;
       failed_rejoins = 0;
+      provision_starts = 0;
       provision_runs = 0;
       provision_chunks = 0;
       provision_resumes = 0;
       provision_failovers = 0;
       provision_stale = 0;
       provision_rounds = 0;
+      decommissions = 0;
     }
   in
+  (match obs with
+  | None -> ()
+  | Some o -> Obs.Metrics.source (Obs.metrics o) (report_counters t));
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
   (* Admission control plugs into the network's service model: the
      priority lane exempts protocol traffic from the capacity bound, and
@@ -1084,7 +1049,7 @@ let decommission t =
   t.prov <- None;
   t.gather <- None;
   t.tail_wait <- None;
-  ocount t t.om.m_decommissioned
+  t.decommissions <- t.decommissions + 1
 
 let site t = t.site
 let store t = t.store

@@ -130,7 +130,17 @@ val create :
     the records are stamped exactly as individual appends at the same
     instant would stamp them — so crash truncation and replay behave
     identically; only the {!wal_syncs} cost model differs.  No effect on
-    unbatched traffic. *)
+    unbatched traffic.
+
+    With [obs], the replica registers a counter source
+    ({!Obs.Metrics.source}) that reports its own counters, each once
+    nonzero: [replica.catchup.runs] / [.abandoned] / [.keys_installed],
+    [replica.rejoin.failed], [replica.recoveries] (the {!incarnation}),
+    [replica.shed], [replica.stale_inc.nacked], [replica.decommissioned]
+    and [provision.starts] / [.runs] / [.chunks] / [.resumes] /
+    [.donor_failovers] / [.stale].  The [replica.catchup.duration] and
+    [provision.duration] histograms are the only metrics it writes at
+    event time. *)
 
 val site : t -> int
 val store : t -> Store.t
@@ -144,7 +154,7 @@ val repairs_applied : t -> int
 
 val sheds : t -> int
 (** Client requests answered with [Busy] — watermark sheds plus
-    queue-full overflows.  Mirrored as the [replica.shed] metric. *)
+    queue-full overflows.  Reported as the [replica.shed] metric. *)
 
 (** {2 Recovery observables} *)
 
@@ -216,7 +226,7 @@ val catchup_rounds : t -> int
 
 val failed_rejoins : t -> int
 (** Times the rejoin machinery gave up and entered failed-rejoin.
-    Mirrored as the [replica.rejoin.failed] metric. *)
+    Reported as the [replica.rejoin.failed] metric. *)
 
 val provision_runs : t -> int
 (** Completed snapshot provisionings (tail applied, back to serving). *)

@@ -29,35 +29,6 @@ type times = { mutable started : float; mutable phase_started : float }
 
 module Pending = Hashtbl.Make (Int)
 
-(* The endpoint's own obs counters, named [prefix ^ suffix]: each is looked
-   up in the registry on its first bump and held from then on. *)
-type counters = {
-  busy_received : Obs.Metrics.counter Lazy.t;
-  stale_inc_rejected : Obs.Metrics.counter Lazy.t;
-  deadline_exceeded : Obs.Metrics.counter Lazy.t;
-  retries_suppressed : Obs.Metrics.counter Lazy.t;
-  breaker_trips : Obs.Metrics.counter Lazy.t;
-  repairs_sent : Obs.Metrics.counter Lazy.t;
-  batches : Obs.Metrics.counter Lazy.t;
-}
-
-(* Never forced without an observer: {!ocount} checks first. *)
-let counters obs ~prefix =
-  let c suffix =
-    lazy (Obs.Metrics.counter (Obs.metrics (Option.get obs)) (prefix ^ suffix))
-  in
-  {
-    busy_received = c ".busy_received";
-    stale_inc_rejected = c ".stale_inc.rejected";
-    deadline_exceeded = c ".deadline_exceeded";
-    retries_suppressed = c ".retries_suppressed";
-    breaker_trips = c ".breaker.trips";
-    repairs_sent = c ".repairs_sent";
-    batches = c ".batches";
-  }
-
-let unobserved = counters None ~prefix:""
-
 let phase_code = function Query -> 0 | Prepare -> 1 | Commit -> 2 | Staged -> 3
 
 (* A finished round goes back to the pool and is re-initialized in place:
@@ -98,7 +69,6 @@ type 'k t = {
   n_replicas : int;
   config : config;
   obs : Obs.t option;
-  oc : counters;
   view : Detect.View.t;
   budget : Detect.Budget.t option;
   breaker : Detect.Breaker.t option;
@@ -119,6 +89,7 @@ type 'k t = {
   mutable busy_received : int;
   mutable retries_suppressed : int;
   mutable stale_inc_rejections : int;
+  mutable breaker_trips : int;
 }
 
 let engine t = Network.engine t.net
@@ -234,11 +205,6 @@ let ofinish t span ~ok ~version ~sid =
     else Obs.finish obs sp ~outcome:(Obs.Span.Failed "gave_up")
   | _ -> ()
 
-let ocount t counter =
-  match t.obs with
-  | None -> ()
-  | Some _ -> Obs.Metrics.incr (Lazy.force counter)
-
 (* Overload evidence is charged to the breaker separately from the
    liveness view: a Busy nack rehabilitates the site in the detector
    (it answered — it is alive) while still counting against it here. *)
@@ -246,7 +212,8 @@ let breaker_failure t site =
   match t.breaker with
   | None -> ()
   | Some b ->
-    if Detect.Breaker.record_failure b site then ocount t t.oc.breaker_trips
+    if Detect.Breaker.record_failure b site then
+      t.breaker_trips <- t.breaker_trips + 1
 
 let breaker_ok t site =
   match t.breaker with None -> () | Some b -> Detect.Breaker.record_ok b site
@@ -458,7 +425,6 @@ and retry ?(timed_out = false) t r =
     in
     if now t +. delay >= r.at.started +. t.config.deadline then begin
       t.deadline_exceeded <- t.deadline_exceeded + 1;
-      ocount t t.oc.deadline_exceeded;
       finish t r false
     end
     else if
@@ -470,7 +436,6 @@ and retry ?(timed_out = false) t r =
       (* The global retry budget is drained: retrying now would feed the
          storm that drained it.  Fail fast. *)
       t.retries_suppressed <- t.retries_suppressed + 1;
-      ocount t t.oc.retries_suppressed;
       finish t r false
     end
     else begin
@@ -560,7 +525,6 @@ let stale_incarnation t ~src msg =
   if inc > newest then t.incs.(src) <- inc;
   if inc >= 0 && inc < newest then begin
     t.stale_inc_rejections <- t.stale_inc_rejections + 1;
-    ocount t t.oc.stale_inc_rejected;
     true
   end
   else false
@@ -594,7 +558,6 @@ let on_reply t r ~src (msg : Message.t) =
        the detector) but drowning.  Charge the breaker and re-assemble
        elsewhere — the retry path's backoff and budget apply. *)
     t.busy_received <- t.busy_received + 1;
-    ocount t t.oc.busy_received;
     breaker_failure t src;
     retry t r
   | Prepare_nack _, Commit ->
@@ -640,7 +603,6 @@ let create ~site ~net ~proto ~prefix ~config ~view ?budget ?breaker ?obs
       n_replicas;
       config;
       obs;
-      oc = (match obs with None -> unobserved | Some _ -> counters obs ~prefix);
       view;
       budget;
       breaker;
@@ -661,8 +623,21 @@ let create ~site ~net ~proto ~prefix ~config ~view ?budget ?breaker ?obs
       busy_received = 0;
       retries_suppressed = 0;
       stale_inc_rejections = 0;
+      breaker_trips = 0;
     }
   in
+  (* The endpoint's counter source, under [prefix]: each count is
+     reported once nonzero. *)
+  (match obs with
+  | None -> ()
+  | Some o ->
+    Obs.Metrics.source (Obs.metrics o) (fun report ->
+        let c suffix v = if v > 0 then report (prefix ^ suffix) v in
+        c ".busy_received" t.busy_received;
+        c ".stale_inc.rejected" t.stale_inc_rejections;
+        c ".deadline_exceeded" t.deadline_exceeded;
+        c ".retries_suppressed" t.retries_suppressed;
+        c ".breaker.trips" t.breaker_trips));
   (* One packed handler for both timers: a backoff restart carries its round
      (meta -1), a phase timeout its op id and armed phase. *)
   t.handler <-

@@ -93,20 +93,6 @@ type 'k round = {
           when the engine was created with [record_replies] *)
 }
 
-type counters = {
-  busy_received : Obs.Metrics.counter Lazy.t;
-  stale_inc_rejected : Obs.Metrics.counter Lazy.t;
-  deadline_exceeded : Obs.Metrics.counter Lazy.t;
-  retries_suppressed : Obs.Metrics.counter Lazy.t;
-  breaker_trips : Obs.Metrics.counter Lazy.t;
-  repairs_sent : Obs.Metrics.counter Lazy.t;
-  batches : Obs.Metrics.counter Lazy.t;
-}
-(** The endpoint's obs counters, [prefix ^ ".busy_received"] and so on
-    ([prefix] is {!create}'s: ["coord"] or ["rpc"]).
-    Each is looked up in the registry on its first bump ({!ocount}) and
-    held from then on. *)
-
 type 'k t = {
   site : int;
   net : Message.t Dsim.Network.t;
@@ -116,7 +102,6 @@ type 'k t = {
   n_replicas : int;
   config : config;
   obs : Obs.t option;
-  oc : counters;
   view : Detect.View.t;
   budget : Detect.Budget.t option;
   breaker : Detect.Breaker.t option;
@@ -142,6 +127,7 @@ type 'k t = {
   mutable busy_received : int;
   mutable retries_suppressed : int;
   mutable stale_inc_rejections : int;
+  mutable breaker_trips : int;  (** failures of ours that tripped the breaker *)
 }
 
 val create :
@@ -159,7 +145,12 @@ val create :
   unit ->
   'k t
 (** Installs the engine as [site]'s message handler.  Set [on_query] and
-    [finished] before starting a round. *)
+    [finished] before starting a round.  With [obs], registers a counter
+    source ({!Obs.Metrics.source}) that reports [busy_received],
+    [stale_inc_rejections], [deadline_exceeded], [retries_suppressed] and
+    [breaker_trips] as [<prefix>.busy_received], [.stale_inc.rejected],
+    [.deadline_exceeded], [.retries_suppressed] and [.breaker.trips], each
+    once nonzero. *)
 
 val current_view : 'k t -> Dsutil.Bitset.t
 (** The detector's believed-alive set, minus breaker-open sites. *)
@@ -195,6 +186,3 @@ val ospan : 'k t -> op:string -> key:int -> Obs.Span.t option
 val ofinish :
   'k t -> Obs.Span.t option -> ok:bool -> version:int -> sid:int -> unit
 (** Record the result timestamp (on success) and close the span. *)
-
-val ocount : 'k t -> Obs.Metrics.counter Lazy.t -> unit
-(** Bump one of [t.oc] (a no-op without an observer). *)

@@ -71,7 +71,7 @@ type report = {
 }
 
 val run : ?obs:Obs.t -> scenario -> report
-(** With [obs], the harness points its clock at the engine, mirrors the
+(** With [obs], the harness points its clock at the engine, registers the
     network counters, and traces every transaction ([txn] spans) and the
     RPC operations underneath ([rpc.read] / [rpc.write]).  The final
     tallying quorum reads run on uninstrumented endpoints so span

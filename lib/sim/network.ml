@@ -19,22 +19,6 @@ type counters = {
   mutable coalesced : int;
 }
 
-(* Pre-resolved metric handles: looked up once in [attach_obs] so the send
-   path never hashes a metric name. *)
-type obs_counters = {
-  o_sent : Obs.Metrics.counter;
-  o_delivered : Obs.Metrics.counter;
-  o_drop_loss : Obs.Metrics.counter;
-  o_drop_crash : Obs.Metrics.counter;
-  o_drop_partition : Obs.Metrics.counter;
-  o_drop_no_handler : Obs.Metrics.counter;
-  o_drop_overload : Obs.Metrics.counter;
-  o_coalesced : Obs.Metrics.counter;
-  o_queue_depth : Obs.Metrics.histogram;
-  o_site_sent : Obs.Metrics.counter array;
-  o_site_delivered : Obs.Metrics.counter array;
-}
-
 (* Per-site ingress queue and service model, allocated only for sites that
    opted in through [set_service]/[set_priority]/[set_overflow]; every
    other site keeps the instant-delivery path untouched. *)
@@ -67,9 +51,11 @@ type 'msg t = {
   hooks : crash_hooks option array;
   services : 'msg service option array;
   counters : counters;
+  sent_from : int array;
   delivered_to : int array;
   mutable trace : 'msg tracer option;
-  mutable obs : obs_counters option;
+  mutable observers : Obs.t list;  (* registries reading the counters *)
+  mutable queue_depth : Obs.Metrics.histogram option;
   mutable deferred : Engine.handler;
       (* preallocated arrival handler: (src, dst) packed in the event's
          int slot, the message in its payload slot, so a send schedules
@@ -118,9 +104,11 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
         dropped_overload = 0;
         coalesced = 0;
       };
+    sent_from = Array.make n 0;
     delivered_to = Array.make n 0;
     trace = None;
-    obs = None;
+    observers = [];
+    queue_depth = None;
     deferred = uninit_deferred;
   }
 
@@ -130,42 +118,30 @@ let size t = t.n
 let attach_trace t ?(describe = fun _ -> "") sink =
   t.trace <- Some { sink; describe }
 
+(* The counters stay in [t.counters] and the per-site arrays; the registry
+   reads them through a source whenever it is exported, so obs attached
+   mid-run sees every message since [create].  Only the queue-depth
+   histogram is written at event time. *)
 let attach_obs t obs =
-  let m = Obs.metrics obs in
-  (* Seed each counter with the struct counter's current value: obs may be
-     attached after traffic already flowed (or after a mid-run
-     [set_loss_rate] produced drops), and the two sources must agree — the
-     struct counters are the source of truth, the obs counters a view. *)
-  let c name seed =
-    let counter = Obs.Metrics.counter m name in
-    let behind = seed - Obs.Metrics.counter_value counter in
-    if behind > 0 then Obs.Metrics.add counter behind;
-    counter
-  in
-  t.obs <-
-    Some
-      {
-        o_sent = c "net.sent" t.counters.sent;
-        o_delivered = c "net.delivered" t.counters.delivered;
-        o_drop_loss = c "net.dropped.loss" t.counters.dropped_loss;
-        o_drop_crash = c "net.dropped.crash" t.counters.dropped_crash;
-        o_drop_partition =
-          c "net.dropped.partition" t.counters.dropped_partition;
-        o_drop_no_handler =
-          c "net.dropped.no_handler" t.counters.dropped_no_handler;
-        o_drop_overload = c "net.dropped.overload" t.counters.dropped_overload;
-        o_coalesced = c "net.coalesced" t.counters.coalesced;
-        o_queue_depth = Obs.Metrics.histogram m "net.queue.depth";
-        o_site_sent =
-          (* no per-site struct counter for sends; seed 0 *)
-          Array.init t.n (fun i -> c (Printf.sprintf "net.site.%d.sent" i) 0);
-        o_site_delivered =
-          Array.init t.n (fun i ->
-              c (Printf.sprintf "net.site.%d.delivered" i) t.delivered_to.(i));
-      }
-
-let obs_incr t f =
-  match t.obs with None -> () | Some o -> Obs.Metrics.incr (f o)
+  if not (List.memq obs t.observers) then begin
+    t.observers <- obs :: t.observers;
+    let m = Obs.metrics obs in
+    t.queue_depth <- Some (Obs.Metrics.histogram m "net.queue.depth");
+    Obs.Metrics.source m (fun report ->
+        let c = t.counters in
+        report "net.sent" c.sent;
+        report "net.delivered" c.delivered;
+        report "net.dropped.loss" c.dropped_loss;
+        report "net.dropped.crash" c.dropped_crash;
+        report "net.dropped.partition" c.dropped_partition;
+        report "net.dropped.no_handler" c.dropped_no_handler;
+        report "net.dropped.overload" c.dropped_overload;
+        report "net.coalesced" c.coalesced;
+        for i = 0 to t.n - 1 do
+          report (Printf.sprintf "net.site.%d.sent" i) t.sent_from.(i);
+          report (Printf.sprintf "net.site.%d.delivered" i) t.delivered_to.(i)
+        done)
+  end
 
 let emit t event =
   match t.trace with
@@ -209,16 +185,10 @@ let deliver t ~src ~dst msg =
     (* A missing handler is a wiring problem, not a crash: count it
        separately so crash statistics stay truthful. *)
     t.counters.dropped_no_handler <- t.counters.dropped_no_handler + 1;
-    obs_incr t (fun o -> o.o_drop_no_handler);
     emit t (Trace.Drop { src; dst; reason = "no handler" })
   | Some h ->
     t.counters.delivered <- t.counters.delivered + 1;
     t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-      Obs.Metrics.incr o.o_delivered;
-      Obs.Metrics.incr o.o_site_delivered.(dst));
     emit_deliver t ~src ~dst msg;
     h ~src msg
 
@@ -246,7 +216,6 @@ let enqueue t ~src ~dst s msg =
   if (not priority) && s.capacity > 0 && Queue.length s.squeue >= s.capacity
   then begin
     t.counters.dropped_overload <- t.counters.dropped_overload + 1;
-    obs_incr t (fun o -> o.o_drop_overload);
     emit t (Trace.Drop { src; dst; reason = "overload" });
     match s.overflow with None -> () | Some f -> f ~src msg
   end
@@ -254,19 +223,18 @@ let enqueue t ~src ~dst s msg =
     Queue.add (src, msg) s.squeue;
     let depth = Queue.length s.squeue in
     if depth > s.peak then s.peak <- depth;
-    (match t.obs with
+    (match t.queue_depth with
     | None -> ()
-    | Some o -> Obs.Metrics.observe o.o_queue_depth (float_of_int depth));
+    | Some h -> Obs.Metrics.observe h (float_of_int depth));
     if not s.busy then serve t ~dst s
   end
 
-(* The one place a loss drop is accounted: struct counter, obs counter and
-   trace move together, so the sources cannot diverge no matter when
-   [set_loss_rate] changes the rate (the decision samples [t.loss_rate] at
-   send time; the accounting is rate-independent). *)
+(* The one place a loss drop is accounted: counter and trace move
+   together no matter when [set_loss_rate] changes the rate (the decision
+   samples [t.loss_rate] at send time; the accounting is
+   rate-independent). *)
 let count_loss_drop t ~src ~dst =
   t.counters.dropped_loss <- t.counters.dropped_loss + 1;
-  obs_incr t (fun o -> o.o_drop_loss);
   emit t (Trace.Drop { src; dst; reason = "loss" })
 
 (* Message arrival (the deferred half of [send]): crash/partition checks
@@ -275,12 +243,10 @@ let count_loss_drop t ~src ~dst =
 let arrive t ~src ~dst msg =
   if not t.up.(dst) then begin
     t.counters.dropped_crash <- t.counters.dropped_crash + 1;
-    obs_incr t (fun o -> o.o_drop_crash);
     emit t (Trace.Drop { src; dst; reason = "destination down" })
   end
   else if t.group.(src) <> t.group.(dst) then begin
     t.counters.dropped_partition <- t.counters.dropped_partition + 1;
-    obs_incr t (fun o -> o.o_drop_partition);
     emit t (Trace.Drop { src; dst; reason = "partition" })
   end
   else begin
@@ -303,25 +269,16 @@ let send t ?(units = 1) ~src ~dst msg =
   check_site t src;
   check_site t dst;
   t.counters.sent <- t.counters.sent + 1;
+  t.sent_from.(src) <- t.sent_from.(src) + 1;
   (* A coalesced envelope carries [units] logical operations in one
      message: one send, one service-queue slot, one delivery — that is
      the amortization.  The counter records how many per-op messages the
      coalescing saved. *)
-  if units > 1 then begin
+  if units > 1 then
     t.counters.coalesced <- t.counters.coalesced + (units - 1);
-    match t.obs with
-    | None -> ()
-    | Some o -> Obs.Metrics.add o.o_coalesced (units - 1)
-  end;
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Obs.Metrics.incr o.o_sent;
-    Obs.Metrics.incr o.o_site_sent.(src));
   emit_send t ~src ~dst msg;
   if not t.up.(src) then begin
     t.counters.dropped_crash <- t.counters.dropped_crash + 1;
-    obs_incr t (fun o -> o.o_drop_crash);
     emit t (Trace.Drop { src; dst; reason = "sender down" })
   end
   else if t.loss_rate > 0.0 && Rng.bernoulli t.rng t.loss_rate then
@@ -421,9 +378,6 @@ let crash t i =
       let pending = Queue.length s.squeue in
       if pending > 0 then begin
         t.counters.dropped_crash <- t.counters.dropped_crash + pending;
-        (match t.obs with
-        | None -> ()
-        | Some o -> Obs.Metrics.add o.o_drop_crash pending);
         Queue.clear s.squeue
       end;
       s.epoch <- s.epoch + 1;

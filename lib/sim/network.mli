@@ -39,16 +39,16 @@ val attach_trace :
     to the empty string). *)
 
 val attach_obs : 'msg t -> Obs.t -> unit
-(** Mirror the counters into [obs]'s metrics registry: [net.sent],
-    [net.delivered], [net.dropped.loss] / [.crash] / [.partition] /
-    [.no_handler] / [.overload], the [net.queue.depth] histogram, plus
-    per-site [net.site.<i>.sent] and [net.site.<i>.delivered].  Metric
-    handles are resolved once here, so the send path does no name lookups;
-    without this call the send path is untouched.  The obs counters are
-    seeded from the struct counters at attach time, so both sources agree
-    even when obs is attached mid-run — in particular [net.dropped.loss]
-    matches {!counters}[.dropped_loss] across mid-run {!set_loss_rate}
-    changes. *)
+(** Registers the counters with [obs]'s metrics registry as a counter
+    source ({!Obs.Metrics.source}): [net.sent], [net.delivered],
+    [net.dropped.loss] / [.crash] / [.partition] / [.no_handler] /
+    [.overload], [net.coalesced], and per site [net.site.<i>.sent] and
+    [net.site.<i>.delivered].  The registry reads {!counters} and the
+    per-site tallies when it is exported, so the values are the network's
+    own, counted since {!create} even when obs is attached mid-run.  Also
+    creates the [net.queue.depth] histogram, the only metric written at
+    event time; without this call the send path touches no metric.
+    Attaching the same [obs] again is a no-op. *)
 
 val set_handler : 'msg t -> site:int -> (src:int -> 'msg -> unit) -> unit
 (** Installs the message handler for a site.  A site without a handler

@@ -325,9 +325,9 @@ let test_obs_mirrors_counters () =
 
 let test_loss_rate_midrun_counter_consistency () =
   (* The rate starts at zero, rises mid-run, and obs is only attached
-     after drops already happened: the obs counter must be seeded from the
-     struct counter so the two sources agree (the PR-9 end-of-run healing
-     path flips the rate back to zero the same way). *)
+     after drops already happened: the registry reads the network's own
+     counter, so it counts the drops from before the attach too (the
+     end-of-run healing path flips the rate back to zero the same way). *)
   let engine, net = make ~latency:(Latency.Constant 1.0) () in
   Network.set_handler net ~site:1 (fun ~src:_ _ -> ());
   for _ = 1 to 50 do

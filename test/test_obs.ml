@@ -37,6 +37,62 @@ let test_enumeration_sorted () =
   let names = List.map fst (Metrics.counters m) in
   Alcotest.(check (list string)) "sorted" [ "a"; "m"; "z" ] names
 
+(* --- counter sources ------------------------------------------------------- *)
+
+let test_sources_summed () =
+  let m = Metrics.create () in
+  let a = ref 2 and b = ref 3 in
+  Metrics.source m (fun report -> report "net.sent" !a);
+  Metrics.source m (fun report -> report "net.sent" !b);
+  Alcotest.(check int) "summed" 5 (Metrics.counter_of m "net.sent");
+  (* read at every call, not copied at registration *)
+  a := 10;
+  Alcotest.(check int) "live" 13 (Metrics.counter_of m "net.sent")
+
+let test_sources_merged_with_registry () =
+  let m = Metrics.create () in
+  Metrics.add (Metrics.counter m "ops.read.ok") 4;
+  Metrics.incr (Metrics.counter m "b");
+  Metrics.source m (fun report ->
+      report "z" 1;
+      report "ops.read.ok" 2;
+      report "a" 0);
+  Alcotest.(check int) "registry plus source" 6
+    (Metrics.counter_of m "ops.read.ok");
+  Alcotest.(check (list (pair string int)))
+    "sorted, merged"
+    [ ("a", 0); ("b", 1); ("ops.read.ok", 6); ("z", 1) ]
+    (Metrics.counters m)
+
+let test_unreported_name_absent () =
+  let m = Metrics.create () in
+  let busy = ref 0 in
+  Metrics.source m (fun report -> if !busy > 0 then report "replica.shed" !busy);
+  Alcotest.(check (list string)) "absent" []
+    (List.map fst (Metrics.counters m));
+  Alcotest.(check int) "reads 0" 0 (Metrics.counter_of m "replica.shed");
+  busy := 1;
+  Alcotest.(check (list string)) "present once reported" [ "replica.shed" ]
+    (List.map fst (Metrics.counters m))
+
+let test_network_reattach_counts_once () =
+  let engine = Dsim.Engine.create ~seed:1 () in
+  let net = Dsim.Network.create ~engine ~n:2 () in
+  Dsim.Network.set_handler net ~site:1 (fun ~src:_ _ -> ());
+  let obs = Obs.create () in
+  Dsim.Network.attach_obs net obs;
+  Dsim.Network.attach_obs net obs;
+  for _ = 1 to 3 do
+    Dsim.Network.send net ~src:0 ~dst:1 ()
+  done;
+  Dsim.Engine.run engine;
+  let m = Obs.metrics obs in
+  Alcotest.(check int) "net.sent" 3 (Metrics.counter_of m "net.sent");
+  Alcotest.(check int) "net.site.0.sent" 3
+    (Metrics.counter_of m "net.site.0.sent");
+  Alcotest.(check int) "net.site.1.delivered" 3
+    (Metrics.counter_of m "net.site.1.delivered")
+
 (* --- span lifecycle -------------------------------------------------------- *)
 
 (* A hand-cranked clock so phase times are exact. *)
@@ -349,11 +405,281 @@ let test_pinned_export () =
         List.length c.violations;
       ]
 
+(* Every reachable component counter, pinned.  Four seeded runs bump each
+   [net.*], [replica.*], [provision.*], [coord.*] and [rpc.*] counter the
+   harnesses can reach at least once; the digests cover every registry
+   value, and each counter with a report twin must equal it.  Out of
+   reach: [net.dropped.no_handler] (every address has a handler),
+   [coord.stale_inc.rejected] (no seeded run reorders a pre-crash reply
+   behind its successor) and [rpc.busy_received], [rpc.stale_inc.rejected],
+   [rpc.retries_suppressed], [rpc.breaker.trips] (transaction endpoints run
+   over fail-stop replicas with no service queues, budget or breaker).
+   [provision.starts] and [coord.repairs_sent] have no report field. *)
+let counter_runs () =
+  let module H = Replication.Harness in
+  let f time event = { Dsim.Failure.time; event } in
+  let overload =
+    let proto = Arbitrary.Quorums.protocol (Arbitrary.Tree.figure1 ()) in
+    let n = Quorum.Protocol.universe_size proto in
+    {
+      (H.default_scenario ~proto) with
+      H.n_clients = 3;
+      ops_per_client = 30;
+      think_time = 5.0;
+      horizon = 3000.0;
+      seed = 11;
+      loss_rate = 0.02;
+      crash_mode = Dsim.Network.Amnesia;
+      failures =
+        Dsim.Failure.
+          [
+            f 40.0 (Crash 1); f 90.0 (Recover 1); f 120.0 (Partition [ [ 0; 2 ] ]);
+            f 160.0 Heal; f 200.0 (Crash (n - 1)); f 260.0 (Recover (n - 1));
+          ];
+      coordinator =
+        {
+          Replication.Coordinator.default_config with
+          Replication.Coordinator.timeout = 20.0;
+          max_retries = 6;
+          read_repair = true;
+          deadline = 150.0;
+        };
+      batching = Some { H.batch_size = 3; group_commit = true; pipeline = 2 };
+      overload =
+        Some
+          {
+            H.overload_defaults with
+            H.queue_capacity = 8;
+            service_time = 2.0;
+            shed_watermark = 2;
+            retry_budget = Some Detect.Budget.default_config;
+            breaker = Some Detect.Breaker.default_config;
+            burst =
+              Some
+                {
+                  H.burst_at = 50.0;
+                  burst_clients = 8;
+                  burst_ops = 10;
+                  burst_think = 0.5;
+                };
+          };
+    }
+  in
+  let outage =
+    (* fast crash/recover churn, then a twelve-site blackout that one early
+       returner cannot catch up through *)
+    let proto =
+      Eval.Config_metrics.protocol_of Arbitrary.Config.Arbitrary ~n:15
+    in
+    let blackout =
+      List.concat_map
+        (fun i ->
+          Dsim.Failure.
+            [ f 1000.0 (Crash i); f (if i = 0 then 1100.0 else 6000.0) (Recover i) ])
+        (List.init 12 Fun.id)
+    in
+    {
+      (H.default_scenario ~proto) with
+      H.n_clients = 3;
+      ops_per_client = 40;
+      seed = 7;
+      horizon = 8000.0;
+      crash_mode = Dsim.Network.Amnesia;
+      failures =
+        Dsim.Failure.random_crash_recovery ~rng:(Dsutil.Rng.create 7) ~n:15
+          ~horizon:900.0 ~mtbf:40.0 ~mttr:2.0
+        @ blackout;
+      coordinator =
+        {
+          Replication.Coordinator.default_config with
+          Replication.Coordinator.deadline = 120.0;
+          read_repair = true;
+        };
+    }
+  in
+  let churn =
+    (* donor and recipient crashes under a rolling membership with a short
+       provisioning timeout: failovers leave late chunks from old donors *)
+    let proto =
+      Eval.Config_metrics.protocol_of Arbitrary.Config.Arbitrary ~n:13
+    in
+    let n = Quorum.Protocol.universe_size proto in
+    let s =
+      Eval.Churn.scenario ~proto ~spares:2 ~clients:3 ~ops:25 ~key_space:8
+        ~failures:
+          Dsim.Failure.
+            [
+              f 60.0 (Crash (n - 1)); f 100.0 (Recover (n - 1)); f 103.0 (Crash 0);
+              f 220.0 (Recover 0); f 300.0 (Crash (n - 1)); f 330.0 (Recover (n - 1));
+              f 334.0 (Crash (n - 1)); f 400.0 (Recover (n - 1));
+            ]
+        ~membership:
+          [
+            { H.at = 80.0; position = 0; spare = n; fence = false };
+            { H.at = 500.0; position = 0; spare = 0; fence = false };
+            { H.at = 900.0; position = 1; spare = n + 1; fence = true };
+          ]
+        ~seed:42 ~horizon:3000.0 ~fence:true ()
+    in
+    {
+      s with
+      H.churn =
+        Option.map (fun c -> { c with H.provision_timeout = 3.0 }) s.H.churn;
+    }
+  in
+  let run s =
+    let obs = Obs.create () in
+    let report = H.run ~obs s in
+    (obs, report)
+  in
+  let txn =
+    let module T = Replication.Txn_harness in
+    let proto =
+      Arbitrary.Quorums.protocol
+        (Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:24)
+    in
+    let s = T.default_scenario ~proto in
+    let obs = Obs.create () in
+    let _report =
+      T.run ~obs
+        {
+          s with
+          T.failures =
+            Dsim.Failure.random_crash_recovery ~rng:(Dsutil.Rng.create 3) ~n:24
+              ~horizon:400.0 ~mtbf:150.0 ~mttr:40.0;
+          loss_rate = 0.02;
+          n_clients = 4;
+          seed = 3;
+          config =
+            {
+              s.T.config with
+              Replication.Txn.rpc =
+                { s.T.config.Replication.Txn.rpc with
+                  Replication.Quorum_rpc.deadline = 150.0 };
+            };
+        }
+    in
+    obs
+  in
+  ([ run overload; run outage; run churn ], txn)
+
+let test_pinned_counters () =
+  let harness_runs, txn = counter_runs () in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let digests =
+    List.map (fun (obs, _) -> md5 (Eval.Export.metrics_json obs)) harness_runs
+    @ [ md5 (Eval.Export.metrics_json txn) ]
+  in
+  Alcotest.(check (list string)) "metrics json digests"
+    [
+      "f32abfed726e1c21c8611b0e88f989ea"; "e0f3959c899fc8572b565bae1c2773bb";
+      "e0f6b3736c01130cb699cb42e6fa6e27"; "cf7fa8eaef1ea238a87e791c9800e720";
+    ]
+    digests;
+  let reached = Hashtbl.create 64 in
+  let note obs =
+    List.iter
+      (fun (name, v) -> if v > 0 then Hashtbl.replace reached name ())
+      (Metrics.counters (Obs.metrics obs))
+  in
+  List.iter (fun (obs, _) -> note obs) harness_runs;
+  note txn;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " reached") true (Hashtbl.mem reached name))
+    [
+      "net.sent"; "net.delivered"; "net.dropped.loss"; "net.dropped.crash";
+      "net.dropped.partition"; "net.dropped.overload"; "net.coalesced";
+      "replica.shed"; "replica.catchup.runs"; "replica.catchup.keys_installed";
+      "replica.catchup.abandoned"; "replica.rejoin.failed";
+      "replica.recoveries"; "replica.stale_inc.nacked";
+      "replica.decommissioned"; "provision.starts"; "provision.runs";
+      "provision.chunks"; "provision.resumes"; "provision.donor_failovers";
+      "provision.stale"; "coord.busy_received"; "coord.deadline_exceeded";
+      "coord.retries_suppressed"; "coord.breaker.trips"; "coord.repairs_sent";
+      "coord.batches"; "rpc.deadline_exceeded";
+    ];
+  List.iter
+    (fun (obs, (r : Replication.Harness.report)) ->
+      let m = Obs.metrics obs in
+      let c = Metrics.counter_of m in
+      let sum_sites suffix =
+        List.fold_left
+          (fun acc (name, v) ->
+            match String.split_on_char '.' name with
+            | [ "net"; "site"; _; s ] when s = suffix -> acc + v
+            | _ -> acc)
+          0 (Metrics.counters m)
+      in
+      let open Replication.Harness in
+      List.iter
+        (fun (name, registry, report) ->
+          Alcotest.(check int) name report registry)
+        [
+          ("net.sent", c "net.sent", r.messages_sent);
+          ("net.delivered", c "net.delivered", r.messages_delivered);
+          ( "net.dropped.*",
+            c "net.dropped.loss" + c "net.dropped.crash"
+            + c "net.dropped.partition" + c "net.dropped.no_handler"
+            + c "net.dropped.overload",
+            r.messages_dropped );
+          ("net.dropped.overload", c "net.dropped.overload", r.overload_drops);
+          ("net.coalesced", c "net.coalesced", r.coalesced_ops);
+          ("net.site.*.sent", sum_sites "sent", r.messages_sent);
+          ("net.site.*.delivered", sum_sites "delivered", r.messages_delivered);
+          ("replica.shed", c "replica.shed", r.replica_sheds);
+          ("replica.catchup.runs", c "replica.catchup.runs", r.catchup_runs);
+          ( "replica.catchup.keys_installed",
+            c "replica.catchup.keys_installed",
+            r.catchup_keys_installed );
+          ( "replica.catchup.abandoned",
+            c "replica.catchup.abandoned",
+            r.catchup_abandoned );
+          ("replica.rejoin.failed", c "replica.rejoin.failed", r.failed_rejoins);
+          ( "replica.recoveries",
+            c "replica.recoveries",
+            Array.fold_left ( + ) 0 r.replica_incarnations );
+          ( "replica.stale_inc.nacked",
+            c "replica.stale_inc.nacked",
+            r.stale_commits_nacked );
+          ( "replica.decommissioned",
+            c "replica.decommissioned",
+            r.decommissions_done );
+          ("provision.runs", c "provision.runs", r.provision_runs);
+          ("provision.chunks", c "provision.chunks", r.provision_chunks);
+          ("provision.resumes", c "provision.resumes", r.provision_resumes);
+          ( "provision.donor_failovers",
+            c "provision.donor_failovers",
+            r.provision_donor_failovers );
+          ("provision.stale", c "provision.stale", r.provision_stale);
+          ("coord.busy_received", c "coord.busy_received", r.busy_received);
+          ( "coord.stale_inc.rejected",
+            c "coord.stale_inc.rejected",
+            r.stale_incarnation_rejections );
+          ( "coord.deadline_exceeded",
+            c "coord.deadline_exceeded",
+            r.deadline_exceeded );
+          ( "coord.retries_suppressed",
+            c "coord.retries_suppressed",
+            r.retries_suppressed );
+          ("coord.breaker.trips", c "coord.breaker.trips", r.breaker_trips);
+          ("coord.batches", c "coord.batches", r.batches);
+        ])
+    harness_runs
+
 let suite =
   [
     Alcotest.test_case "counter get-or-create" `Quick test_counter_get_or_create;
     Alcotest.test_case "gauge and histogram" `Quick test_gauge_and_histogram;
     Alcotest.test_case "enumeration sorted" `Quick test_enumeration_sorted;
+    Alcotest.test_case "two sources of one name are summed" `Quick
+      test_sources_summed;
+    Alcotest.test_case "sources merged with registry counters" `Quick
+      test_sources_merged_with_registry;
+    Alcotest.test_case "unreported name is absent" `Quick
+      test_unreported_name_absent;
+    Alcotest.test_case "network re-attach counts once" `Quick
+      test_network_reattach_counts_once;
     Alcotest.test_case "span happy path" `Quick test_span_happy_path;
     Alcotest.test_case "retry closes phase timed-out" `Quick
       test_retry_closes_phase_timed_out;
@@ -371,4 +697,6 @@ let suite =
     Alcotest.test_case "metrics json export" `Quick test_metrics_json_export;
     Alcotest.test_case "pinned export of an amnesia run" `Quick
       test_pinned_export;
+    Alcotest.test_case "pinned export of an overload, churn and txn run" `Quick
+      test_pinned_counters;
   ]
